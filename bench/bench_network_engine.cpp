@@ -3,7 +3,8 @@
 // co-channel aggressor pulses (engine k-way hazard merge vs the
 // materialise/sort/thin reference pipeline), full WDM windows, the
 // photon-level vertical-bus broadcast and contended-upstream paths,
-// and the LinkEngine-coupled NoC slot simulation. The binary writes
+// the LinkEngine-coupled NoC slot simulation, and the bare NoC slot
+// loop from 64 to 4096 dies under each scheduled MAC. The binary writes
 // the stable-schema BENCH_network.json trajectory document (see
 // support/bench_json.hpp) that CI uploads and diffs across runs.
 #include <benchmark/benchmark.h>
@@ -20,6 +21,8 @@
 #include "oci/link/link_engine.hpp"
 #include "oci/link/symbol_delivery.hpp"
 #include "oci/link/wdm_link.hpp"
+#include "oci/net/cac.hpp"
+#include "oci/net/mac.hpp"
 #include "oci/net/stack_network.hpp"
 
 namespace {
@@ -212,6 +215,62 @@ void BM_NocCoupledSlots(benchmark::State& state) {
       static_cast<double>(rng.draws() - draws_before), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_NocCoupledSlots);
+
+// ---------- NoC: the slot loop at scale ----------
+
+enum class NocMac { kCac, kTdma, kToken };
+
+/// The noc_thousand_node workload: 1.4 packets/slot offered over
+/// `dies`, uniform destinations, CAC over 4 wavelengths at weight 2.
+net::StackNetwork scale_network(std::size_t dies, NocMac kind) {
+  net::StackNetworkConfig cfg;
+  cfg.dies = dies;
+  cfg.traffic.resize(dies);
+  for (auto& t : cfg.traffic) {
+    t.packets_per_slot = 1.4 / static_cast<double>(dies);
+    t.uniform_destinations = true;
+  }
+  std::unique_ptr<net::MacPolicy> mac;
+  if (kind == NocMac::kTdma) {
+    mac = std::make_unique<net::TdmaMac>(bus::TdmaSchedule::equal(dies));
+  } else if (kind == NocMac::kToken) {
+    mac = std::make_unique<net::TokenMac>(dies, 0);
+  } else {
+    net::cac::AllocConfig ac;
+    ac.nodes = dies;
+    ac.wavelengths = 4;
+    ac.weight = 2;
+    RngStream alloc_rng(kSeed, "noc-slot-alloc");
+    mac = std::make_unique<net::CacMac>(net::cac::DistributedAllocator(ac).allocate(alloc_rng));
+  }
+  return net::StackNetwork(cfg, std::move(mac));
+}
+
+/// Per-slot cost of StackNetwork::run in steady state: the network is
+/// warmed up for four TDMA frames (4 x dies slots, past every CAC
+/// frame) before timing, then each iteration runs one block of slots.
+/// Time per iteration / kNocBlock is the per-slot cost; CI gates the
+/// 1024-vs-64-die ratio of its median.
+constexpr std::uint64_t kNocBlock = 4096;
+
+void BM_NocSlot(benchmark::State& state, NocMac kind) {
+  const auto dies = static_cast<std::size_t>(state.range(0));
+  net::StackNetwork netw = scale_network(dies, kind);
+  RngStream rng(kSeed, "noc-slot");
+  (void)netw.run(4 * dies, rng);
+  const std::uint64_t draws_before = rng.draws();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(netw.run(kNocBlock, rng).total_delivered());
+  }
+  state.counters["rng_draws"] = benchmark::Counter(
+      static_cast<double>(rng.draws() - draws_before), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_NocSlot, cac, NocMac::kCac)
+    ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_NocSlot, tdma, NocMac::kTdma)
+    ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_NocSlot, token, NocMac::kToken)
+    ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

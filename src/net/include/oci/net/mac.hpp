@@ -14,9 +14,10 @@
 //     no token ring and no global TDMA owner table.
 //
 // CAC allocations may span several WDM wavelengths, so one slot can
-// carry several clean transfers at once (one per wavelength). The
-// structured arbitrate_slot() entry point expresses that; the legacy
-// flat arbitrate() keeps the single-channel policies untouched.
+// carry several clean transfers at once (one per wavelength). The one
+// entry point, arbitrate_slot(), expresses that as a structured
+// SlotOutcome written into caller-owned scratch, so a slot loop that
+// reuses one outcome stops allocating once its lists have grown.
 #pragma once
 
 #include <cstddef>
@@ -30,45 +31,35 @@
 
 namespace oci::net {
 
-/// Result of one slot's arbitration: which dies launch a pulse train.
-/// An empty list is an idle slot; more than one entry is a collision
-/// (possible only with random access).
+/// A list of die indices transmitting in one slot.
 using SlotGrant = std::vector<std::size_t>;
 
-/// Structured arbitration result: `clean` dies transmit alone on their
+/// Arbitration result of one slot: `clean` dies transmit alone on their
 /// wavelength (each gets an independent delivery decision), `collided`
 /// dies shared a wavelength with another transmitter and lose the slot.
-/// Single-channel policies produce at most one clean die per slot;
-/// multi-wavelength CAC allocations can carry several.
+/// Both empty is an idle slot. Single-channel policies produce at most
+/// one clean die per slot; multi-wavelength CAC allocations can carry
+/// several.
 struct SlotOutcome {
   SlotGrant clean;
   SlotGrant collided;
+
+  /// Empties both lists, keeping their capacity.
+  void clear() {
+    clean.clear();
+    collided.clear();
+  }
 };
 
 /// Abstract MAC policy. `backlogged[i]` says whether die i has a
-/// packet ready; the policy returns who transmits in this slot.
+/// packet ready; the policy decides who transmits in this slot.
 class MacPolicy {
  public:
   virtual ~MacPolicy() = default;
-  [[nodiscard]] virtual SlotGrant arbitrate(std::uint64_t slot,
-                                            const std::vector<bool>& backlogged,
-                                            util::RngStream& rng) = 0;
-  /// Structured entry point StackNetwork drives. The default maps the
-  /// flat grant (1 entry = clean, > 1 = collision), so single-channel
-  /// policies keep their exact legacy semantics; wavelength-aware
-  /// policies (CacMac) override it.
-  [[nodiscard]] virtual SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                                   const std::vector<bool>& backlogged,
-                                                   util::RngStream& rng) {
-    SlotOutcome out;
-    SlotGrant grant = arbitrate(slot, backlogged, rng);
-    if (grant.size() == 1) {
-      out.clean = std::move(grant);
-    } else if (grant.size() > 1) {
-      out.collided = std::move(grant);
-    }
-    return out;
-  }
+  /// Clears `out` and fills it with this slot's transmitters. `out` is
+  /// caller-owned scratch, meant to be reused across slots.
+  virtual void arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                              util::RngStream& rng, SlotOutcome& out) = 0;
   /// Human-readable policy name for reports.
   [[nodiscard]] virtual const char* name() const = 0;
 };
@@ -78,8 +69,8 @@ class MacPolicy {
 class TdmaMac final : public MacPolicy {
  public:
   explicit TdmaMac(bus::TdmaSchedule schedule);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
+  void arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                      util::RngStream& rng, SlotOutcome& out) override;
   [[nodiscard]] const char* name() const override { return "tdma"; }
 
  private:
@@ -88,12 +79,14 @@ class TdmaMac final : public MacPolicy {
 
 /// Round-robin token passing: the token holder transmits if backlogged,
 /// else the token advances. Each advance costs `pass_slots` dead slots
-/// (the optical token exchange); 0 models an idealised scheduler.
+/// (the optical token exchange); 0 models an idealised scheduler. The
+/// scan to the next backlogged die is O(idle dies skipped): O(1) under
+/// heavy load, O(participants) when one die is busy among many idle.
 class TokenMac final : public MacPolicy {
  public:
   TokenMac(std::size_t participants, unsigned pass_slots = 0);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
+  void arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                      util::RngStream& rng, SlotOutcome& out) override;
   [[nodiscard]] const char* name() const override { return "token"; }
 
  private:
@@ -120,14 +113,11 @@ class SubsetMac final : public MacPolicy {
   /// `dies`); `inner` must be built for members.size() participants.
   SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> members,
             std::size_t dies);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
-  /// Structured pass-through: delegates to the inner policy's
-  /// arbitrate_slot (preserving multi-wavelength clean grants) and
-  /// remaps both lists back to the full die space.
-  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                           const std::vector<bool>& backlogged,
-                                           util::RngStream& rng) override;
+  /// Delegates to the inner policy (preserving multi-wavelength clean
+  /// grants) and remaps both lists back to the full die space. Copying
+  /// the survivors' backlog flags costs O(members) per slot.
+  void arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                      util::RngStream& rng, SlotOutcome& out) override;
   [[nodiscard]] const char* name() const override { return "subset"; }
   [[nodiscard]] const MacPolicy& inner() const { return *inner_; }
   [[nodiscard]] const std::vector<std::size_t>& members() const { return members_; }
@@ -142,12 +132,12 @@ class SubsetMac final : public MacPolicy {
 /// Slotted ALOHA: every backlogged die independently transmits with
 /// probability `attempt_probability`. Simultaneous transmissions
 /// collide (the receivers' SPADs fire on whichever photon lands first;
-/// both frames fail CRC).
+/// both frames fail CRC). One draw per backlogged die: O(dies) per slot.
 class AlohaMac final : public MacPolicy {
  public:
   explicit AlohaMac(double attempt_probability);
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
+  void arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                      util::RngStream& rng, SlotOutcome& out) override;
   [[nodiscard]] const char* name() const override { return "aloha"; }
   [[nodiscard]] double attempt_probability() const { return p_; }
 
@@ -175,15 +165,8 @@ class CacMac final : public MacPolicy {
   /// `allocation` must cover exactly the dies the network arbitrates
   /// (allocation.slots.size() participants).
   explicit CacMac(cac::Allocation allocation);
-  /// Legacy flat view: every die transmitting in this slot, clean or
-  /// not. Single-wavelength allocations keep the exact flat semantics
-  /// (1 entry = clean, > 1 = collision); multi-wavelength callers must
-  /// use arbitrate_slot, which the network drives.
-  [[nodiscard]] SlotGrant arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                    util::RngStream& rng) override;
-  [[nodiscard]] SlotOutcome arbitrate_slot(std::uint64_t slot,
-                                           const std::vector<bool>& backlogged,
-                                           util::RngStream& rng) override;
+  void arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                      util::RngStream& rng, SlotOutcome& out) override;
   [[nodiscard]] const char* name() const override { return "cac"; }
   [[nodiscard]] std::uint64_t frame() const { return allocation_.frame; }
   [[nodiscard]] std::size_t wavelengths() const { return allocation_.wavelengths; }

@@ -8,7 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "oci/util/random.hpp"
 #include "oci/util/units.hpp"
@@ -53,8 +53,8 @@ struct LatencySummary {
   double max_slots = 0.0;
 };
 
-/// Quantile digest of raw per-packet latencies (in slots). Sorts a
-/// copy; quantiles use the nearest-rank method.
-[[nodiscard]] LatencySummary summarize_latencies(std::vector<double> latencies);
+/// Quantile digest of raw per-packet latencies (in slots). Sorts
+/// `latencies` in place; quantiles use the nearest-rank method.
+[[nodiscard]] LatencySummary summarize_latencies(std::span<double> latencies);
 
 }  // namespace oci::net

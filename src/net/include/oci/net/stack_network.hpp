@@ -10,11 +10,16 @@
 // Supported mechanics: per-die FIFO queues with finite capacity,
 // Poisson arrivals, MAC arbitration (see mac.hpp), collision loss,
 // stop-and-wait ARQ with bounded retries, and full latency accounting.
+//
+// Per-slot cost follows the slot's events, not the die count: the
+// per-die Poisson sources are drawn as ONE superposed Poisson stream
+// whose packets are attributed to sources through an alias table, the
+// backlog flags the MAC reads are kept current on every push and pop,
+// and arbitration writes into reused scratch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -128,18 +133,56 @@ class StackNetwork {
   }
 
  private:
-  void inject_arrivals(std::uint64_t slot, util::RngStream& rng,
-                       std::vector<DieStats>& stats);
+  /// FIFO of packets on a power-of-two ring: 8 slots on the first push,
+  /// doubling when full, so a queue's memory follows its deepest
+  /// backlog so far, not the configured capacity.
+  class PacketRing {
+   public:
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] Packet& front() { return buf_[head_]; }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    void push_back(const Packet& p) {
+      if (size_ == buf_.size()) grow();
+      buf_[(head_ + size_) & (buf_.size() - 1)] = p;
+      ++size_;
+    }
+
+   private:
+    void grow();
+
+    std::vector<Packet> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  /// One superposed-stream arrival: offered at `die`, queued if room.
+  void arrive(std::size_t die, std::uint64_t slot, util::RngStream& rng, DieStats& stats);
+  void pop(std::size_t die);
 
   StackNetworkConfig config_;
   std::unique_ptr<MacPolicy> mac_;
-  std::vector<std::deque<Packet>> queues_;
-  /// Per-die uniform-destination candidate lists. Clean (or
-  /// reroute-off) runs list all OTHER dies in increasing order -- the
-  /// index mapping and draw count are then identical to the historical
-  /// `pick >= die ? pick+1 : pick` fold, keeping clean runs
-  /// bit-identical. With rerouting armed, dead dies are excluded.
-  std::vector<std::vector<std::size_t>> uniform_candidates_;
+  std::vector<PacketRing> queues_;
+  /// backlogged_[i] == !queues_[i].empty(), maintained on push and pop.
+  std::vector<bool> backlogged_;
+  /// Walker/Vose alias table over the live sources (positive rate, not
+  /// dead): column k holds source die source_die_[k], kept with
+  /// probability alias_keep_[k], else handed to column alias_[k].
+  std::vector<std::size_t> source_die_;
+  std::vector<double> alias_keep_;
+  std::vector<std::size_t> alias_;
+  double total_rate_ = 0.0;  ///< superposed arrivals per slot
+  /// Uniform-destination routing in O(dies): the eligible destinations
+  /// in increasing order (all dies, or the live ones when routing
+  /// around dead dies) and each die's rank in that list. A source picks
+  /// k over the others and maps it to live_[k >= rank ? k+1 : k].
+  std::vector<std::size_t> live_;
+  std::vector<std::size_t> rank_;
+  SlotOutcome outcome_;            ///< arbitration scratch, reused per slot
+  std::vector<double> latencies_;  ///< per-run delivery latencies, reused
   std::uint64_t next_packet_id_ = 0;
   std::uint64_t slot_cursor_ = 0;  ///< absolute slot index across run() calls
 };

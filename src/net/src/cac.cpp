@@ -151,46 +151,50 @@ Allocation DistributedAllocator::allocate(util::RngStream& rng) const {
   }
 
   // Per-(wavelength, slot) occupancy the local moves steer against.
+  // Phases and codeword offsets are both < p, so a phased slot wraps
+  // with one conditional subtract instead of a division.
   std::vector<std::uint32_t> load(wls * p, 0);
-  auto cell = [&](std::size_t wl, std::size_t slot) -> std::uint32_t& {
-    return load[wl * p + slot];
+  const auto wrap = [p](std::size_t phase, std::uint32_t c) {
+    const std::size_t s = phase + c;
+    return s >= p ? s - p : s;
   };
   for (std::size_t i = 0; i < n; ++i) {
-    for (const std::uint32_t c : base[i]) {
-      ++cell(out.wavelength[i], (out.phase[i] + c) % p);
-    }
+    std::uint32_t* row = &load[out.wavelength[i] * p];
+    for (const std::uint32_t c : base[i]) ++row[wrap(out.phase[i], c)];
   }
 
   // C-CoCoA-style refinement: a fixed node order, each node in turn
   // withdrawing its pulses and re-picking the phase with the smallest
   // conflict count against the neighbours currently sharing its
   // wavelength. Ties keep the current phase (no oscillation), then
-  // prefer the smallest phase -- fully deterministic.
+  // prefer the smallest phase -- fully deterministic. A node whose
+  // current phase already costs nothing keeps it without a scan: no
+  // phase can beat zero, and the tie rule keeps the current one.
   out.rounds_used = 0;
   for (unsigned round = 0; round < config_.rounds; ++round) {
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t wl = out.wavelength[i];
-      for (const std::uint32_t c : base[i]) {
-        --cell(wl, (out.phase[i] + c) % p);
-      }
-      std::size_t best_phase = out.phase[i];
-      std::uint64_t best_cost = ~0ULL;
-      for (std::size_t phase = 0; phase < p; ++phase) {
-        std::uint64_t cost = 0;
-        for (const std::uint32_t c : base[i]) cost += cell(wl, (phase + c) % p);
-        if (cost < best_cost || (cost == best_cost && phase == out.phase[i])) {
-          best_cost = cost;
-          best_phase = phase;
+      std::uint32_t* row = &load[out.wavelength[i] * p];
+      const std::size_t current = out.phase[i];
+      std::uint64_t current_cost = 0;
+      for (const std::uint32_t c : base[i]) current_cost += --row[wrap(current, c)];
+      std::size_t best_phase = current;
+      if (current_cost > 0) {
+        std::uint64_t best_cost = ~0ULL;
+        for (std::size_t phase = 0; phase < p; ++phase) {
+          std::uint64_t cost = 0;
+          for (const std::uint32_t c : base[i]) cost += row[wrap(phase, c)];
+          if (cost < best_cost || (cost == best_cost && phase == current)) {
+            best_cost = cost;
+            best_phase = phase;
+          }
         }
       }
-      if (best_phase != out.phase[i]) {
+      if (best_phase != current) {
         out.phase[i] = static_cast<std::uint32_t>(best_phase);
         changed = true;
       }
-      for (const std::uint32_t c : base[i]) {
-        ++cell(wl, (out.phase[i] + c) % p);
-      }
+      for (const std::uint32_t c : base[i]) ++row[wrap(best_phase, c)];
     }
     ++out.rounds_used;
     if (!changed) break;
@@ -204,7 +208,7 @@ Allocation DistributedAllocator::allocate(util::RngStream& rng) const {
     auto& slots = out.slots[i];
     slots.reserve(base[i].size());
     for (const std::uint32_t c : base[i]) {
-      slots.push_back(static_cast<std::uint32_t>((out.phase[i] + c) % p));
+      slots.push_back(static_cast<std::uint32_t>(wrap(out.phase[i], c)));
     }
     std::sort(slots.begin(), slots.end());
   }

@@ -8,11 +8,11 @@ namespace oci::net {
 
 TdmaMac::TdmaMac(bus::TdmaSchedule schedule) : schedule_(std::move(schedule)) {}
 
-SlotGrant TdmaMac::arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                             util::RngStream& /*rng*/) {
+void TdmaMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                             util::RngStream& /*rng*/, SlotOutcome& out) {
+  out.clear();
   const std::size_t owner = schedule_.owner(slot);
-  if (owner < backlogged.size() && backlogged[owner]) return {owner};
-  return {};
+  if (owner < backlogged.size() && backlogged[owner]) out.clean.push_back(owner);
 }
 
 TokenMac::TokenMac(std::size_t participants, unsigned pass_slots)
@@ -20,32 +20,35 @@ TokenMac::TokenMac(std::size_t participants, unsigned pass_slots)
   if (participants_ == 0) throw std::invalid_argument("TokenMac: need >= 1 participant");
 }
 
-SlotGrant TokenMac::arbitrate(std::uint64_t /*slot*/, const std::vector<bool>& backlogged,
-                              util::RngStream& /*rng*/) {
+void TokenMac::arbitrate_slot(std::uint64_t /*slot*/, const std::vector<bool>& backlogged,
+                              util::RngStream& /*rng*/, SlotOutcome& out) {
   if (backlogged.size() != participants_) {
     throw std::invalid_argument("TokenMac: backlog vector size mismatch");
   }
+  out.clear();
   if (passing_ > 0) {
     // A token exchange is in flight; the medium is dead this slot.
     --passing_;
-    return {};
+    return;
   }
   // Work-conserving scan: advance the token to the next backlogged die.
+  std::size_t candidate = holder_;
   for (std::size_t step = 0; step < participants_; ++step) {
-    const std::size_t candidate = (holder_ + step) % participants_;
     if (backlogged[candidate]) {
       if (candidate != holder_) {
         holder_ = candidate;
         if (pass_slots_ > 0) {
           // The pass costs dead slots BEFORE the new holder may send.
           passing_ = pass_slots_ - 1;  // this slot is the first dead one
-          return {};
+          return;
         }
       }
-      return {candidate};
+      out.clean.push_back(candidate);
+      return;
     }
+    if (++candidate == participants_) candidate = 0;
   }
-  return {};  // everyone idle; token stays put
+  // Everyone idle; the token stays put.
 }
 
 SubsetMac::SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> members,
@@ -62,31 +65,17 @@ SubsetMac::SubsetMac(std::unique_ptr<MacPolicy> inner, std::vector<std::size_t> 
   inner_backlogged_.resize(members_.size());
 }
 
-SlotGrant SubsetMac::arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                               util::RngStream& rng) {
+void SubsetMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                               util::RngStream& rng, SlotOutcome& out) {
   if (backlogged.size() != dies_) {
     throw std::invalid_argument("SubsetMac: backlog vector size mismatch");
   }
   for (std::size_t i = 0; i < members_.size(); ++i) {
     inner_backlogged_[i] = backlogged[members_[i]];
   }
-  SlotGrant grant = inner_->arbitrate(slot, inner_backlogged_, rng);
-  for (std::size_t& g : grant) g = members_[g];
-  return grant;
-}
-
-SlotOutcome SubsetMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                      util::RngStream& rng) {
-  if (backlogged.size() != dies_) {
-    throw std::invalid_argument("SubsetMac: backlog vector size mismatch");
-  }
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    inner_backlogged_[i] = backlogged[members_[i]];
-  }
-  SlotOutcome out = inner_->arbitrate_slot(slot, inner_backlogged_, rng);
+  inner_->arbitrate_slot(slot, inner_backlogged_, rng, out);
   for (std::size_t& g : out.clean) g = members_[g];
   for (std::size_t& g : out.collided) g = members_[g];
-  return out;
 }
 
 AlohaMac::AlohaMac(double attempt_probability) : p_(attempt_probability) {
@@ -95,13 +84,14 @@ AlohaMac::AlohaMac(double attempt_probability) : p_(attempt_probability) {
   }
 }
 
-SlotGrant AlohaMac::arbitrate(std::uint64_t /*slot*/, const std::vector<bool>& backlogged,
-                              util::RngStream& rng) {
-  SlotGrant grant;
+void AlohaMac::arbitrate_slot(std::uint64_t /*slot*/, const std::vector<bool>& backlogged,
+                              util::RngStream& rng, SlotOutcome& out) {
+  out.clear();
   for (std::size_t i = 0; i < backlogged.size(); ++i) {
-    if (backlogged[i] && rng.bernoulli(p_)) grant.push_back(i);
+    if (backlogged[i] && rng.bernoulli(p_)) out.collided.push_back(i);
   }
-  return grant;
+  // A lone transmitter is clean; two or more garble each other.
+  if (out.collided.size() == 1) std::swap(out.clean, out.collided);
 }
 
 CacMac::CacMac(cac::Allocation allocation)
@@ -130,12 +120,12 @@ CacMac::CacMac(cac::Allocation allocation)
   }
 }
 
-SlotOutcome CacMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
-                                   util::RngStream& /*rng*/) {
+void CacMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& backlogged,
+                            util::RngStream& /*rng*/, SlotOutcome& out) {
   if (backlogged.size() != dies_) {
     throw std::invalid_argument("CacMac: backlog vector size mismatch");
   }
-  SlotOutcome out;
+  out.clear();
   const auto& owners = slot_owners_[static_cast<std::size_t>(slot % allocation_.frame)];
   std::size_t begin = 0;
   while (begin < owners.size()) {
@@ -153,20 +143,6 @@ SlotOutcome CacMac::arbitrate_slot(std::uint64_t slot, const std::vector<bool>& 
     }
     begin = end;
   }
-  return out;
-}
-
-SlotGrant CacMac::arbitrate(std::uint64_t slot, const std::vector<bool>& backlogged,
-                            util::RngStream& rng) {
-  const SlotOutcome out = arbitrate_slot(slot, backlogged, rng);
-  // Flat view: everyone pulsing this slot. Exact flat semantics for
-  // single-wavelength allocations; lossy (documented) beyond that.
-  SlotGrant all;
-  all.reserve(out.clean.size() + out.collided.size());
-  all.insert(all.end(), out.clean.begin(), out.clean.end());
-  all.insert(all.end(), out.collided.begin(), out.collided.end());
-  std::sort(all.begin(), all.end());
-  return all;
 }
 
 }  // namespace oci::net

@@ -6,7 +6,7 @@ namespace oci::net {
 
 namespace {
 
-double nearest_rank(const std::vector<double>& sorted, double quantile) {
+double nearest_rank(std::span<const double> sorted, double quantile) {
   if (sorted.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(quantile * static_cast<double>(sorted.size()));
   return sorted[std::min(rank, sorted.size() - 1)];
@@ -14,7 +14,7 @@ double nearest_rank(const std::vector<double>& sorted, double quantile) {
 
 }  // namespace
 
-LatencySummary summarize_latencies(std::vector<double> latencies) {
+LatencySummary summarize_latencies(std::span<double> latencies) {
   LatencySummary s;
   s.samples = latencies.size();
   if (latencies.empty()) return s;

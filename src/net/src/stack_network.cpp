@@ -1,5 +1,6 @@
 #include "oci/net/stack_network.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -61,7 +62,7 @@ Time NetworkRunResult::mean_latency() const {
 }
 
 StackNetwork::StackNetwork(const StackNetworkConfig& config, std::unique_ptr<MacPolicy> mac)
-    : config_(config), mac_(std::move(mac)), queues_(config.dies) {
+    : config_(config), mac_(std::move(mac)), queues_(config.dies), backlogged_(config.dies) {
   if (config_.dies == 0) throw std::invalid_argument("StackNetwork: need >= 1 die");
   if (!mac_) throw std::invalid_argument("StackNetwork: MAC policy required");
   if (config_.traffic.size() != config_.dies) {
@@ -90,19 +91,63 @@ StackNetwork::StackNetwork(const StackNetworkConfig& config, std::unique_ptr<Mac
     throw std::invalid_argument(
         "StackNetwork: broken_links must be empty or a dies x dies matrix");
   }
-  // Destination candidate lists (see header): all others in increasing
-  // order on the clean path; live others when routing around dead dies.
+
+  // Destination ranks (see header): all dies on the clean path; live
+  // dies only when routing around dead ones. A dead die never sources,
+  // so its rank is never read.
   const bool exclude_dead = config_.reroute_dead_destinations && !config_.dead_nodes.empty();
-  uniform_candidates_.resize(config_.dies);
+  rank_.assign(config_.dies, config_.dies);
   for (std::size_t die = 0; die < config_.dies; ++die) {
-    auto& list = uniform_candidates_[die];
-    list.reserve(config_.dies - 1);
-    for (std::size_t other = 0; other < config_.dies; ++other) {
-      if (other == die) continue;
-      if (exclude_dead && node_dead(other)) continue;
-      list.push_back(other);
+    if (exclude_dead && node_dead(die)) continue;
+    rank_[die] = live_.size();
+    live_.push_back(die);
+  }
+
+  // Superposed source table. A dead die's transmitter is gone: it
+  // sources nothing and never enters the table.
+  std::vector<double> rates;
+  for (std::size_t die = 0; die < config_.dies; ++die) {
+    const double rate = config_.traffic[die].packets_per_slot;
+    if (rate <= 0.0 || node_dead(die)) continue;
+    source_die_.push_back(die);
+    rates.push_back(rate);
+    total_rate_ += rate;
+  }
+  // Vose's alias construction: columns scaled to mean 1; each short
+  // column is topped up from one long column.
+  const std::size_t n = rates.size();
+  alias_keep_.assign(n, 1.0);
+  alias_.resize(n);
+  std::vector<std::size_t> small, large;
+  for (std::size_t k = 0; k < n; ++k) {
+    alias_[k] = k;
+    rates[k] *= static_cast<double>(n) / total_rate_;
+    (rates[k] < 1.0 ? small : large).push_back(k);
+  }
+  while (!small.empty() && !large.empty()) {
+    const std::size_t s = small.back();
+    const std::size_t l = large.back();
+    small.pop_back();
+    alias_keep_[s] = rates[s];
+    alias_[s] = l;
+    rates[l] -= 1.0 - rates[s];
+    if (rates[l] < 1.0) {
+      large.pop_back();
+      small.push_back(l);
     }
   }
+  // Leftovers are 1 up to rounding: they keep their own column.
+
+  // A grant names each die at most once, so the scratch never regrows.
+  outcome_.clean.reserve(config_.dies);
+  outcome_.collided.reserve(config_.dies);
+}
+
+void StackNetwork::PacketRing::grow() {
+  std::vector<Packet> bigger(buf_.empty() ? 8 : 2 * buf_.size());
+  for (std::size_t i = 0; i < size_; ++i) bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+  buf_ = std::move(bigger);
+  head_ = 0;
 }
 
 std::size_t StackNetwork::backlog() const {
@@ -111,53 +156,49 @@ std::size_t StackNetwork::backlog() const {
   return sum;
 }
 
-void StackNetwork::inject_arrivals(std::uint64_t slot, util::RngStream& rng,
-                                   std::vector<DieStats>& stats) {
-  for (std::size_t die = 0; die < config_.dies; ++die) {
-    const TrafficSpec& spec = config_.traffic[die];
-    if (spec.packets_per_slot <= 0.0) continue;
-    // A dead die's transmitter is gone: it sources nothing, and no
-    // Poisson draw is consumed for it (faulted runs re-seed anyway).
-    if (node_dead(die)) continue;
-    const auto arrivals = rng.poisson(spec.packets_per_slot);
-    for (std::int64_t a = 0; a < arrivals; ++a) {
-      ++stats[die].offered;
-      if (queues_[die].size() >= config_.queue_capacity) {
-        ++stats[die].queue_drops;
-        continue;
-      }
-      Packet p;
-      p.src = die;
-      if (spec.uniform_destinations && config_.dies > 1) {
-        // Uniform over the eligible OTHER dies. On the clean path the
-        // list enumerates all others, so the draw count and the index
-        // mapping are bit-identical to the historical
-        // `pick >= die ? pick+1 : pick` fold.
-        const auto& candidates = uniform_candidates_[die];
-        if (candidates.empty()) {
-          // Every possible destination is dead: unroutable at entry.
-          ++stats[die].queue_drops;
-          continue;
-        }
-        p.dst = candidates[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(candidates.size()) - 1))];
-      } else {
-        if (spec.destination != kBroadcast && config_.reroute_dead_destinations &&
-            node_dead(spec.destination)) {
-          // Fixed-destination traffic to a dead die: the source's flow
-          // control knows the endpoint is gone, so the packet is shed
-          // at entry instead of burning max_attempts slots on the bus.
-          ++stats[die].queue_drops;
-          continue;
-        }
-        p.dst = spec.destination;
-      }
-      p.id = next_packet_id_++;
-      p.payload_bytes = spec.payload_bytes;
-      p.enqueued_slot = slot;
-      queues_[die].push_back(p);
-    }
+void StackNetwork::arrive(std::size_t die, std::uint64_t slot, util::RngStream& rng,
+                          DieStats& stats) {
+  const TrafficSpec& spec = config_.traffic[die];
+  ++stats.offered;
+  if (queues_[die].size() >= config_.queue_capacity) {
+    ++stats.queue_drops;
+    return;
   }
+  Packet p;
+  p.src = die;
+  if (spec.uniform_destinations && config_.dies > 1) {
+    // Uniform over the eligible OTHER dies: pick a position among them
+    // and step over the source's own rank.
+    const std::size_t others = live_.size() - 1;
+    if (others == 0) {
+      // Every possible destination is dead: unroutable at entry.
+      ++stats.queue_drops;
+      return;
+    }
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(others) - 1));
+    p.dst = live_[k >= rank_[die] ? k + 1 : k];
+  } else {
+    if (spec.destination != kBroadcast && config_.reroute_dead_destinations &&
+        node_dead(spec.destination)) {
+      // Fixed-destination traffic to a dead die: the source's flow
+      // control knows the endpoint is gone, so the packet is shed at
+      // entry instead of burning max_attempts slots on the bus.
+      ++stats.queue_drops;
+      return;
+    }
+    p.dst = spec.destination;
+  }
+  p.id = next_packet_id_++;
+  p.payload_bytes = spec.payload_bytes;
+  p.enqueued_slot = slot;
+  queues_[die].push_back(p);
+  backlogged_[die] = true;
+}
+
+void StackNetwork::pop(std::size_t die) {
+  queues_[die].pop_front();
+  if (queues_[die].empty()) backlogged_[die] = false;
 }
 
 NetworkRunResult StackNetwork::run(std::uint64_t slots, util::RngStream& rng) {
@@ -165,23 +206,32 @@ NetworkRunResult StackNetwork::run(std::uint64_t slots, util::RngStream& rng) {
   result.per_die.resize(config_.dies);
   result.slots = slots;
   result.slot_duration = config_.slot_duration;
-  std::vector<double> latencies;
+  latencies_.clear();
 
-  std::vector<bool> backlogged(config_.dies);
+  const std::size_t columns = source_die_.size();
   for (std::uint64_t s = 0; s < slots; ++s) {
     const std::uint64_t slot = slot_cursor_++;
-    inject_arrivals(slot, rng, result.per_die);
-
-    for (std::size_t die = 0; die < config_.dies; ++die) {
-      backlogged[die] = !queues_[die].empty();
+    // Independent per-die Poisson sources superpose into one Poisson
+    // stream of rate sum(lambda); each arrival belongs to die i with
+    // probability lambda_i / sum(lambda), drawn from the alias table.
+    if (columns > 0) {
+      const std::int64_t arrivals = rng.poisson(total_rate_);
+      for (std::int64_t a = 0; a < arrivals; ++a) {
+        const double x = rng.uniform() * static_cast<double>(columns);
+        const std::size_t k = std::min(static_cast<std::size_t>(x), columns - 1);
+        const std::size_t col = x - static_cast<double>(k) < alias_keep_[k] ? k : alias_[k];
+        const std::size_t die = source_die_[col];
+        arrive(die, slot, rng, result.per_die[die]);
+      }
     }
-    // Structured arbitration: single-channel policies yield at most one
-    // clean die (exactly the legacy flat semantics, same RNG draw
-    // order); a multi-wavelength CacMac can land several clean
-    // transfers in one slot, resolved in the policy's deterministic
-    // grant order. All per-slot work below is proportional to the
-    // grant sizes, never to the die count.
-    const SlotOutcome outcome = mac_->arbitrate_slot(slot, backlogged, rng);
+
+    // Single-channel policies yield at most one clean die per slot; a
+    // multi-wavelength CacMac can land several clean transfers in one
+    // slot, resolved in the policy's deterministic grant order. All
+    // per-slot work below is proportional to the grant sizes, never to
+    // the die count.
+    mac_->arbitrate_slot(slot, backlogged_, rng, outcome_);
+    const SlotOutcome& outcome = outcome_;
 
     if (outcome.clean.empty() && outcome.collided.empty()) {
       ++result.idle_slots;
@@ -199,7 +249,7 @@ NetworkRunResult StackNetwork::run(std::uint64_t slots, util::RngStream& rng) {
         ++result.per_die[die].collisions;
         if (++head.attempts >= config_.max_attempts) {
           ++result.per_die[die].retry_drops;
-          q.pop_front();
+          pop(die);
         }
       }
     }
@@ -224,17 +274,17 @@ NetworkRunResult StackNetwork::run(std::uint64_t slots, util::RngStream& rng) {
                                : rng.bernoulli(config_.delivery_probability));
       if (delivered) {
         ++result.per_die[die].delivered;
-        latencies.push_back(static_cast<double>(slot - head.enqueued_slot + 1));
-        q.pop_front();
+        latencies_.push_back(static_cast<double>(slot - head.enqueued_slot + 1));
+        pop(die);
       } else if (++head.attempts >= config_.max_attempts) {
         ++result.per_die[die].retry_drops;
-        q.pop_front();
+        pop(die);
       }
     }
     if (!any_transfer) ++result.idle_slots;
   }
 
-  result.latency = summarize_latencies(std::move(latencies));
+  result.latency = summarize_latencies(latencies_);
   return result;
 }
 

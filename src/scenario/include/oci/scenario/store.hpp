@@ -38,7 +38,10 @@ namespace oci::scenario {
 ///   5  CAC MAC + distributed slot/wavelength allocation (noc.alloc_*
 ///      in the canonical text; new incast/broadcast-storm patterns;
 ///      the NoC slot loop arbitrates through structured SlotOutcomes)
-inline constexpr unsigned kEngineRevision = 5;
+///   6  superposed NoC arrivals: one Poisson draw per slot over all
+///      live sources, each packet's source picked from an alias table
+///      (the per-die Poisson draws are gone, so the draw order changed)
+inline constexpr unsigned kEngineRevision = 6;
 
 /// Address of one simulation chunk.
 struct ChunkKey {

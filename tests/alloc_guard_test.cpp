@@ -10,10 +10,13 @@
 //   * the single-source run_symbols driver (abl_scaling, abl_fec),
 //   * the multi-source interference window loop (WdmLink / bus
 //     contention inner loop),
-//   * the LinkEngine-coupled NoC delivery model (StackNetwork sweeps).
+//   * the LinkEngine-coupled NoC delivery model (StackNetwork sweeps),
+//   * the StackNetwork slot loop itself at 1024 dies.
 //
 // After a warm-up pass (which may size scratch buffers), the loops
-// must perform no allocation at all. Under ASan/UBSan the sanitizer
+// must perform no allocation at all; a StackNetwork::run call may
+// allocate its per-run result, but the same count for 1000 slots as
+// for 5000. Under ASan/UBSan the sanitizer
 // owns the allocator, so the counting assertions are skipped there
 // (the loops still run, keeping the binary exercised).
 #include <gtest/gtest.h>
@@ -22,10 +25,16 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 
+#include "oci/bus/arbitration.hpp"
 #include "oci/link/link_engine.hpp"
 #include "oci/link/symbol_delivery.hpp"
+#include "oci/net/cac.hpp"
+#include "oci/net/mac.hpp"
+#include "oci/net/stack_network.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define OCI_ALLOC_GUARD_ACTIVE 0
@@ -219,6 +228,55 @@ TEST(AllocGuard, NocDeliveryModelLoopIsAllocationFree) {
 
   EXPECT_GT(phy.cumulative().symbols_sent, 512u);
   expect_no_allocations(before, after, "NoC symbol-delivery loop");
+}
+
+std::unique_ptr<net::MacPolicy> guard_mac(const std::string& kind, std::size_t dies) {
+  if (kind == "tdma") return std::make_unique<net::TdmaMac>(bus::TdmaSchedule::equal(dies));
+  if (kind == "token") return std::make_unique<net::TokenMac>(dies, 0);
+  net::cac::AllocConfig ac;
+  ac.nodes = dies;
+  ac.wavelengths = 4;
+  ac.weight = 2;
+  RngStream alloc_rng(1237);
+  return std::make_unique<net::CacMac>(net::cac::DistributedAllocator(ac).allocate(alloc_rng));
+}
+
+TEST(AllocGuard, NocSlotLoopAllocatesPerRunNotPerSlot) {
+  // The scale workload: 1024 dies, 1.4 packets/slot offered. A queue's
+  // ring buffer still grows (8, 16, ... packets) whenever its die sets
+  // a new backlog record, which is O(log capacity) per die over a
+  // network's life, not per slot; capping the queues at the ring's
+  // first size (8) takes that out, so whatever remains is per-run.
+  constexpr std::size_t kDies = 1024;
+  net::StackNetworkConfig cfg;
+  cfg.dies = kDies;
+  cfg.traffic.resize(kDies);
+  for (auto& t : cfg.traffic) {
+    t.packets_per_slot = 1.4 / static_cast<double>(kDies);
+    t.uniform_destinations = true;
+  }
+  cfg.queue_capacity = 8;
+  cfg.delivery_probability = 0.95;
+  for (const char* kind : {"cac", "tdma", "token"}) {
+    net::StackNetwork network(cfg, guard_mac(kind, kDies));
+    RngStream rng(1249);
+    (void)network.run(65536, rng);  // warm-up: sizes rings and scratch
+
+    const auto allocations_in = [&](std::uint64_t slots) {
+      const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+      (void)network.run(slots, rng);
+      return g_allocations.load(std::memory_order_relaxed) - before;
+    };
+    const std::uint64_t short_run = allocations_in(1000);
+    const std::uint64_t long_run = allocations_in(5000);
+#if OCI_ALLOC_GUARD_ACTIVE
+    EXPECT_EQ(short_run, long_run) << kind << ": allocations grow with the slot count";
+#else
+    (void)short_run;
+    (void)long_run;
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+  }
 }
 
 }  // namespace

@@ -202,8 +202,10 @@ TEST(Fault, SubsetMacGrantsOnlyLiveDies) {
   net::SubsetMac mac(std::move(inner), {0, 2, 5}, 6);
   RngStream rng(233);
   const std::vector<bool> all(6, true);  // includes dead dies
+  net::SlotOutcome out;
   for (std::uint64_t slot = 0; slot < 6; ++slot) {
-    const net::SlotGrant g = mac.arbitrate(slot, all, rng);
+    mac.arbitrate_slot(slot, all, rng, out);
+    const net::SlotGrant& g = out.clean;
     ASSERT_EQ(g.size(), 1u);
     EXPECT_TRUE(g[0] == 0 || g[0] == 2 || g[0] == 5);
   }
@@ -212,7 +214,8 @@ TEST(Fault, SubsetMacGrantsOnlyLiveDies) {
   std::vector<bool> only5{false, true, false, true, true, true};
   only5[5] = true;
   for (std::uint64_t slot = 0; slot < 3; ++slot) {
-    const net::SlotGrant g = mac.arbitrate(slot, only5, rng);
+    mac.arbitrate_slot(slot, only5, rng, out);
+    const net::SlotGrant& g = out.clean;
     ASSERT_EQ(g.size(), 1u);
     EXPECT_EQ(g[0], 5u);
   }
@@ -225,8 +228,10 @@ TEST(Fault, SubsetMacTdmaReclaimsDeadSlots) {
   net::SubsetMac mac(std::move(inner), {1, 2}, 4);
   RngStream rng(239);
   const std::vector<bool> backlogged(4, true);
+  net::SlotOutcome out;
   for (std::uint64_t slot = 0; slot < 8; ++slot) {
-    const net::SlotGrant g = mac.arbitrate(slot, backlogged, rng);
+    mac.arbitrate_slot(slot, backlogged, rng, out);
+    const net::SlotGrant& g = out.clean;
     ASSERT_EQ(g.size(), 1u);
     EXPECT_TRUE(g[0] == 1 || g[0] == 2);
   }

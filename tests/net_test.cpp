@@ -1,7 +1,9 @@
 // Tests for the packet/MAC network layer over the shared optical bus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "oci/net/mac.hpp"
 #include "oci/net/packet.hpp"
@@ -68,10 +70,12 @@ TEST(TdmaMacPolicy, GrantsOnlyTheSlotOwner) {
   TdmaMac mac(bus::TdmaSchedule::equal(4));
   RngStream rng(211);
   const std::vector<bool> all_busy(4, true);
+  net::SlotOutcome out;
   for (std::uint64_t slot = 0; slot < 8; ++slot) {
-    const auto grant = mac.arbitrate(slot, all_busy, rng);
-    ASSERT_EQ(grant.size(), 1u);
-    EXPECT_EQ(grant.front(), slot % 4);
+    mac.arbitrate_slot(slot, all_busy, rng, out);
+    ASSERT_EQ(out.clean.size(), 1u);
+    EXPECT_TRUE(out.collided.empty());
+    EXPECT_EQ(out.clean.front(), slot % 4);
   }
 }
 
@@ -79,8 +83,11 @@ TEST(TdmaMacPolicy, IdleOwnerWastesTheSlot) {
   TdmaMac mac(bus::TdmaSchedule::equal(2));
   RngStream rng(223);
   const std::vector<bool> only_one{false, true};
-  EXPECT_TRUE(mac.arbitrate(0, only_one, rng).empty());  // die 0 idle
-  EXPECT_EQ(mac.arbitrate(1, only_one, rng).size(), 1u);
+  net::SlotOutcome out;
+  mac.arbitrate_slot(0, only_one, rng, out);
+  EXPECT_TRUE(out.clean.empty() && out.collided.empty());  // die 0 idle
+  mac.arbitrate_slot(1, only_one, rng, out);
+  EXPECT_EQ(out.clean.size(), 1u);
 }
 
 TEST(TokenMacPolicy, WorkConservingSkipsIdleDies) {
@@ -88,10 +95,11 @@ TEST(TokenMacPolicy, WorkConservingSkipsIdleDies) {
   RngStream rng(227);
   // Only die 3 is backlogged: it gets every slot despite the rotation.
   const std::vector<bool> only_three{false, false, false, true};
+  net::SlotOutcome out;
   for (int i = 0; i < 5; ++i) {
-    const auto grant = mac.arbitrate(static_cast<std::uint64_t>(i), only_three, rng);
-    ASSERT_EQ(grant.size(), 1u);
-    EXPECT_EQ(grant.front(), 3u);
+    mac.arbitrate_slot(static_cast<std::uint64_t>(i), only_three, rng, out);
+    ASSERT_EQ(out.clean.size(), 1u);
+    EXPECT_EQ(out.clean.front(), 3u);
   }
 }
 
@@ -99,14 +107,18 @@ TEST(TokenMacPolicy, PassCostBurnsSlots) {
   TokenMac mac(2, /*pass_slots=*/2);
   RngStream rng(229);
   const std::vector<bool> only_one{false, true};
+  net::SlotOutcome out;
   // Token starts at die 0 (idle): the pass to die 1 costs 2 dead slots.
-  EXPECT_TRUE(mac.arbitrate(0, only_one, rng).empty());
-  EXPECT_TRUE(mac.arbitrate(1, only_one, rng).empty());
-  const auto grant = mac.arbitrate(2, only_one, rng);
-  ASSERT_EQ(grant.size(), 1u);
-  EXPECT_EQ(grant.front(), 1u);
+  mac.arbitrate_slot(0, only_one, rng, out);
+  EXPECT_TRUE(out.clean.empty());
+  mac.arbitrate_slot(1, only_one, rng, out);
+  EXPECT_TRUE(out.clean.empty());
+  mac.arbitrate_slot(2, only_one, rng, out);
+  ASSERT_EQ(out.clean.size(), 1u);
+  EXPECT_EQ(out.clean.front(), 1u);
   // Holder now owns the medium with no further pass cost.
-  EXPECT_EQ(mac.arbitrate(3, only_one, rng).size(), 1u);
+  mac.arbitrate_slot(3, only_one, rng, out);
+  EXPECT_EQ(out.clean.size(), 1u);
 }
 
 TEST(TokenMacPolicy, ValidatesInputs) {
@@ -114,15 +126,24 @@ TEST(TokenMacPolicy, ValidatesInputs) {
   TokenMac mac(3);
   RngStream rng(233);
   const std::vector<bool> wrong_size(2, true);
-  EXPECT_THROW((void)mac.arbitrate(0, wrong_size, rng), std::invalid_argument);
+  net::SlotOutcome out;
+  EXPECT_THROW(mac.arbitrate_slot(0, wrong_size, rng, out), std::invalid_argument);
 }
 
 TEST(AlohaMacPolicy, CertainAttemptCollidesWhenTwoBusy) {
   AlohaMac mac(1.0);
   RngStream rng(239);
   const std::vector<bool> two_busy{true, true, false};
-  const auto grant = mac.arbitrate(0, two_busy, rng);
-  EXPECT_EQ(grant.size(), 2u);  // both transmit -> collision
+  net::SlotOutcome out;
+  mac.arbitrate_slot(0, two_busy, rng, out);
+  EXPECT_TRUE(out.clean.empty());
+  EXPECT_EQ(out.collided.size(), 2u);  // both transmit -> collision
+  // A lone transmitter is clean, and the scratch is cleared first.
+  const std::vector<bool> one_busy{false, false, true};
+  mac.arbitrate_slot(1, one_busy, rng, out);
+  EXPECT_TRUE(out.collided.empty());
+  ASSERT_EQ(out.clean.size(), 1u);
+  EXPECT_EQ(out.clean.front(), 2u);
 }
 
 TEST(AlohaMacPolicy, RejectsBadProbability) {
@@ -175,6 +196,32 @@ TEST(StackNetwork, PacketConservation) {
   }
   EXPECT_EQ(r.total_offered(), accounted + netw.backlog());
   EXPECT_GT(r.total_delivered(), 0u);
+}
+
+TEST(StackNetwork, QueuesStayFifoAcrossRingGrowth) {
+  // Overloaded TDMA: each die's queue builds past several ring sizes
+  // and wraps while it drains. Every die must still deliver its
+  // packets in arrival order.
+  auto cfg = uniform_config(3, 0.45);
+  cfg.queue_capacity = 100;
+  std::vector<std::uint64_t> last_id(3, 0);
+  std::vector<bool> seen(3, false);
+  bool fifo = true;
+  cfg.delivery_model = [&](const net::Packet& p, RngStream&) {
+    if (seen[p.src] && p.id <= last_id[p.src]) fifo = false;
+    seen[p.src] = true;
+    last_id[p.src] = p.id;
+    return true;
+  };
+  StackNetwork netw(cfg, std::make_unique<TdmaMac>(bus::TdmaSchedule::equal(3)));
+  RngStream rng(255);
+  std::uint64_t deepest = 0;
+  for (int block = 0; block < 40; ++block) {
+    (void)netw.run(250, rng);
+    deepest = std::max<std::uint64_t>(deepest, netw.backlog());
+  }
+  EXPECT_TRUE(fifo);
+  EXPECT_GT(deepest, 3u * 64u);  // some queue passed 64: its ring grew 8 -> ... -> 128
 }
 
 TEST(StackNetwork, TdmaSharesFairlyUnderSymmetricLoad) {

@@ -11,20 +11,30 @@
 // configurations each. Golden bit-for-bit checks cover what MUST be
 // exact: an empty aggressor set degenerating to the single-source
 // engine, and determinism across identical seeds.
+//
+// The NoC slot loop is pinned the same way: its superposed arrival
+// stream against the per-die reference loop in tests/support, on
+// per-die offered counts, carried load and delivery ratio; and its RNG
+// draws per slot must not grow with the die count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "support/reference_stack_network.hpp"
 #include "support/stat_assert.hpp"
 
 #include "oci/bus/vertical_bus.hpp"
 #include "oci/link/link_engine.hpp"
 #include "oci/link/symbol_delivery.hpp"
 #include "oci/link/wdm_link.hpp"
+#include "oci/net/cac.hpp"
+#include "oci/net/mac.hpp"
 #include "oci/net/stack_network.hpp"
 
 namespace {
@@ -496,6 +506,153 @@ TEST(NocCoupling, PhotonLevelDeliveryTracksLinkQuality) {
   // healthy link's.
   EXPECT_GT(bad_phy.cumulative().symbol_errors, good_phy.cumulative().symbol_errors);
   EXPECT_GT(good_phy.cumulative().symbols_sent, 0u);
+}
+
+// ---------- NoC slot loop: superposed arrivals vs per-die reference ----------
+
+enum class NocMac { kCac, kTdma, kToken };
+
+struct NocCase {
+  std::size_t dies = 64;
+  NocMac mac = NocMac::kCac;
+  bool hotspot = false;     ///< one die sources hot_load on top of its share
+  double dead_fraction = 0.0;
+  std::uint64_t slots = 0;
+};
+
+std::unique_ptr<net::MacPolicy> noc_mac(NocMac kind, std::size_t participants) {
+  switch (kind) {
+    case NocMac::kTdma:
+      return std::make_unique<net::TdmaMac>(bus::TdmaSchedule::equal(participants));
+    case NocMac::kToken:
+      return std::make_unique<net::TokenMac>(participants, 0);
+    case NocMac::kCac:
+      break;
+  }
+  net::cac::AllocConfig ac;
+  ac.nodes = participants;
+  ac.wavelengths = std::min<std::size_t>(4, participants);
+  ac.weight = 2;
+  RngStream alloc_rng(20260808, "noc-oracle-alloc");
+  return std::make_unique<net::CacMac>(net::cac::DistributedAllocator(ac).allocate(alloc_rng));
+}
+
+/// The scale workload's traffic: 1.4 packets/slot offered, spread
+/// uniformly, uniform destinations.
+net::StackNetworkConfig scale_traffic(std::size_t dies) {
+  net::StackNetworkConfig cfg;
+  cfg.dies = dies;
+  cfg.traffic.resize(dies);
+  for (auto& t : cfg.traffic) {
+    t.packets_per_slot = 1.4 / static_cast<double>(dies);
+    t.uniform_destinations = true;
+  }
+  cfg.delivery_probability = 0.95;
+  return cfg;
+}
+
+/// The case's config and a fresh MAC for it. Dead dies are rerouted
+/// around and their share of the schedule is reclaimed (SubsetMac).
+std::pair<net::StackNetworkConfig, std::unique_ptr<net::MacPolicy>> noc_case_setup(
+    const NocCase& c) {
+  net::StackNetworkConfig cfg = scale_traffic(c.dies);
+  if (c.hotspot) cfg.traffic[3].packets_per_slot = 0.3;
+  if (c.dead_fraction <= 0.0) return {cfg, noc_mac(c.mac, c.dies)};
+  RngStream faults(20260808, "noc-oracle-dead");
+  cfg.dead_nodes.assign(c.dies, 0);
+  std::vector<std::size_t> live;
+  for (std::size_t die = 0; die < c.dies; ++die) {
+    if (faults.bernoulli(c.dead_fraction)) {
+      cfg.dead_nodes[die] = 1;
+    } else {
+      live.push_back(die);
+    }
+  }
+  auto inner = noc_mac(c.mac, live.size());
+  return {cfg, std::make_unique<net::SubsetMac>(std::move(inner), std::move(live), c.dies)};
+}
+
+class SuperposedArrivalsVsReference : public ::testing::TestWithParam<NocCase> {};
+
+TEST_P(SuperposedArrivalsVsReference, OfferedCarriedAndDeliveredConsistent) {
+  const NocCase c = GetParam();
+  auto [cfg, mac] = noc_case_setup(c);
+  net::StackNetwork network(cfg, std::move(mac));
+  RngStream rng(20260808, "noc-superposed");
+  const net::NetworkRunResult fast = network.run(c.slots, rng);
+
+  auto [ref_cfg, ref_mac] = noc_case_setup(c);
+  RngStream ref_rng(20260808, "noc-reference");
+  const net::NetworkRunResult ref =
+      test::run_reference_network(ref_cfg, *ref_mac, c.slots, ref_rng);
+
+  // Equal exposure: two Poisson totals agree iff each is half the sum.
+  const std::uint64_t off_f = fast.total_offered();
+  const std::uint64_t off_r = ref.total_offered();
+  EXPECT_RATE_NEAR(off_f, off_f + off_r, 0.5, kAlpha);
+  const std::uint64_t del_f = fast.total_delivered();
+  const std::uint64_t del_r = ref.total_delivered();
+  EXPECT_RATE_NEAR(del_f, del_f + del_r, 0.5, kAlpha);  // carried load
+  EXPECT_RATES_CONSISTENT(del_f, off_f, del_r, off_r, kAlpha);  // delivery ratio
+
+  // Each die's share of the offered packets, Bonferroni-corrected over
+  // the sources. Dead dies must offer nothing at all.
+  std::size_t sources = 0;
+  for (std::size_t die = 0; die < c.dies; ++die) {
+    const bool dead = !cfg.dead_nodes.empty() && cfg.dead_nodes[die] != 0;
+    if (dead) {
+      EXPECT_EQ(fast.per_die[die].offered, 0u) << "dead die " << die;
+    } else {
+      ++sources;
+    }
+  }
+  const double alpha_die = kAlpha / static_cast<double>(sources);
+  for (std::size_t die = 0; die < c.dies; ++die) {
+    EXPECT_RATES_CONSISTENT(fast.per_die[die].offered, off_f, ref.per_die[die].offered, off_r,
+                            alpha_die)
+        << "die " << die;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, SuperposedArrivalsVsReference,
+    ::testing::Values(NocCase{64, NocMac::kCac, false, 0.0, 40000},
+                      NocCase{64, NocMac::kTdma, false, 0.0, 40000},
+                      NocCase{64, NocMac::kToken, false, 0.0, 40000},
+                      NocCase{1024, NocMac::kCac, false, 0.0, 16384},
+                      NocCase{1024, NocMac::kTdma, false, 0.0, 16384},
+                      NocCase{1024, NocMac::kToken, false, 0.0, 16384},
+                      NocCase{64, NocMac::kTdma, true, 0.0, 40000},
+                      NocCase{1024, NocMac::kCac, true, 0.0, 16384},
+                      NocCase{256, NocMac::kToken, false, 0.1, 20000},
+                      NocCase{1024, NocMac::kCac, false, 0.1, 16384}),
+    [](const ::testing::TestParamInfo<NocCase>& info) {
+      const NocCase& c = info.param;
+      const char* mac = c.mac == NocMac::kCac ? "cac" : c.mac == NocMac::kTdma ? "tdma" : "token";
+      return std::string(mac) + "_" + std::to_string(c.dies) + (c.hotspot ? "_hotspot" : "") +
+             (c.dead_fraction > 0.0 ? "_dead" : "");
+    });
+
+double draws_per_slot(std::size_t dies, NocMac mac) {
+  net::StackNetwork network(scale_traffic(dies), noc_mac(mac, dies));
+  RngStream rng(20260808, "noc-draws");
+  (void)network.run(2048, rng);  // warm-up
+  const std::uint64_t before = rng.draws();
+  constexpr std::uint64_t kSlots = 8192;
+  (void)network.run(kSlots, rng);
+  return static_cast<double>(rng.draws() - before) / static_cast<double>(kSlots);
+}
+
+TEST(NocSlotCost, RngDrawsPerSlotDoNotScaleWithDies) {
+  // Same offered load on 16x the dies: the slot's draws follow its
+  // arrivals and transfers, not the population (one superposed
+  // Poisson draw, not one per die).
+  for (const NocMac mac : {NocMac::kCac, NocMac::kTdma, NocMac::kToken}) {
+    const double small = draws_per_slot(64, mac);
+    const double large = draws_per_slot(1024, mac);
+    EXPECT_LE(large, small + 1.0) << "mac " << static_cast<int>(mac) << ": " << large
+                                  << " draws/slot at 1024 dies vs " << small << " at 64";
+  }
 }
 
 }  // namespace
