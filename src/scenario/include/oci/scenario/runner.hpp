@@ -5,8 +5,8 @@
 // link::SymbolDeliveryModel), fans the sweep's Cartesian product out
 // over a sim::BatchRunner pool with per-point deterministic RNG
 // streams, and emits a uniform RunReport: a metric table plus the
-// stable schema_version-1 BENCH_*.json trajectory document the CI diff
-// tooling already understands.
+// schema_version-2 BENCH_*.json trajectory document (report_io.hpp)
+// the CI diff tooling understands.
 //
 // Determinism contract: a RunReport's coordinates, metrics, samples and
 // rng_draws are a pure function of (spec, resolved seed, repro scale) --
@@ -49,10 +49,11 @@ struct MetricDef {
 /// Inverse of to_string; throws std::invalid_argument on unknown names.
 [[nodiscard]] MetricKind metric_kind_from_string(const std::string& name);
 
-/// The metric schema (names + kinds) the spec's topology and traffic
-/// mode resolve to -- the contract between dispatch, the adaptive
-/// accumulators, and the report columns.
-[[nodiscard]] std::vector<MetricDef> metrics_for(const ScenarioSpec& spec);
+/// The metric schema (names + kinds) of the workload the spec's
+/// topology and traffic mode resolve to -- the contract between the
+/// workload's chunk function, the adaptive accumulators, and the report
+/// columns.
+[[nodiscard]] const std::vector<MetricDef>& metrics_for(const ScenarioSpec& spec);
 
 /// One sweep point's outcome.
 struct RunPoint {
@@ -92,6 +93,23 @@ struct RunPoint {
 
   /// "jitter_ps=120/fec=hamming", or "-" for a sweep-less scenario.
   [[nodiscard]] std::string label(const std::vector<std::string>& axis_names) const;
+
+  // The per-kind rules, in one place. `kinds` is the report's
+  // metric_kinds; the state vectors above hold one entry per metric.
+
+  /// Folds one chunk, run over chunk.samples samples, into the state.
+  void add_chunk(const std::vector<MetricKind>& kinds, const ChunkRecord& chunk);
+  /// Pools `other` -- the same sweep point observed under a different
+  /// seed -- into this point's state. Throws std::invalid_argument when
+  /// a kConstant metric differs bitwise: the two runs are then not the
+  /// same experiment (e.g. built by different binaries).
+  void pool(const std::vector<MetricKind>& kinds, const RunPoint& other);
+  /// Interval estimate of metric `m` at confidence z, computed from the
+  /// state -- never by averaging other estimates.
+  [[nodiscard]] analysis::Estimate estimate(const std::vector<MetricKind>& kinds,
+                                            std::size_t m, double z) const;
+  /// Recomputes `estimates` and `metrics` from the state.
+  void set_estimates(const std::vector<MetricKind>& kinds, double z);
 };
 
 /// Uniform result document of one scenario run (or of one shard of a
@@ -181,10 +199,5 @@ class ScenarioRunner {
  private:
   std::size_t threads_;
 };
-
-// The seed/precision override helpers (seed_from_env, consume_seed_arg,
-// resolve_seed, consume_precision_args, ...) moved to
-// oci/scenario/cli.hpp, included above so existing callers keep
-// compiling unchanged.
 
 }  // namespace oci::scenario

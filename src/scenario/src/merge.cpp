@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,70 +18,6 @@ namespace {
 void check_same(bool ok, const char* field) {
   if (!ok) fail(std::string("reports disagree on ") + field +
                 " -- they are not partials of the same experiment");
-}
-
-/// Pools `from` into `into` (both observed the same sweep point under
-/// different seeds) and recomputes the estimates from the pooled state.
-void pool_point(RunPoint& into, const RunPoint& from,
-                const std::vector<MetricKind>& kinds, double z) {
-  const std::size_t n_metrics = kinds.size();
-  for (std::size_t m = 0; m < n_metrics; ++m) {
-    switch (kinds[m]) {
-      case MetricKind::kRate:
-        into.rates[m].merge(from.rates[m]);
-        break;
-      case MetricKind::kMean:
-        into.means[m].merge(from.means[m]);
-        break;
-      case MetricKind::kCount:
-        into.sums[m] += from.sums[m];
-        break;
-      case MetricKind::kConstant:
-        // Deterministic at the operating point: every run must have
-        // observed the bitwise-same value, or the reports are not from
-        // the same experiment (e.g. built by different binaries).
-        if (into.last[m] != from.last[m]) {
-          std::ostringstream os;
-          os << "constant metric #" << m << " differs across reports at point "
-             << into.point_index << " (" << into.last[m] << " vs " << from.last[m]
-             << ")";
-          fail(os.str());
-        }
-        break;
-    }
-  }
-  into.samples += from.samples;
-  into.chunks += from.chunks;
-  into.rng_draws += from.rng_draws;
-  into.wall_ns += from.wall_ns;
-  // Likelihood-ratio weight state pools exactly like the accumulators:
-  // sums of independent per-sample moments. n_eff/weight_cv are always
-  // recomputed from the pooled state, never averaged.
-  into.weights.merge(from.weights);
-  into.err_weight_sq += from.err_weight_sq;
-  // Recompute the quartets from the POOLED accumulators -- mirroring
-  // the runner's estimate_of -- never by averaging the inputs'.
-  for (std::size_t m = 0; m < n_metrics; ++m) {
-    analysis::Estimate e;
-    switch (kinds[m]) {
-      case MetricKind::kRate:
-        e = into.rates[m].wilson(z);
-        break;
-      case MetricKind::kMean:
-        e = into.means[m].interval(z);
-        break;
-      case MetricKind::kCount:
-        e = analysis::Estimate{into.sums[m], into.sums[m], into.sums[m],
-                               into.samples};
-        break;
-      case MetricKind::kConstant:
-        e = analysis::Estimate{into.last[m], into.last[m], into.last[m],
-                               into.samples};
-        break;
-    }
-    into.estimates[m] = e;
-    into.metrics[m] = e.value;
-  }
 }
 
 }  // namespace
@@ -125,7 +60,10 @@ RunReport merge_reports(const std::vector<RunReport>& parts,
       }
       auto [it, inserted] = merged.emplace(p.point_index, p);
       if (!inserted) {
-        pool_point(it->second, p, first.metric_kinds, first.confidence_z);
+        // Pool the accumulator state, then recompute the intervals from
+        // it -- never by averaging the inputs' estimates.
+        it->second.pool(first.metric_kinds, p);
+        it->second.set_estimates(first.metric_kinds, first.confidence_z);
       }
     }
   }

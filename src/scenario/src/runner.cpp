@@ -10,9 +10,12 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "oci/analysis/report.hpp"
 #include "oci/bus/vertical_bus.hpp"
@@ -34,9 +37,16 @@ namespace {
 using util::RngStream;
 using util::Time;
 
-/// Default-constructible task payload for BatchRunner::map.
+/// One metric value under its schema name.
+struct NamedValue {
+  std::string_view name;
+  double value = 0.0;
+};
+
+/// What a workload's chunk function returns: every metric value named,
+/// in schema order, plus the RNG draws the chunk consumed.
 struct PointResult {
-  std::vector<double> metrics;
+  std::vector<NamedValue> metrics;
   std::uint64_t rng_draws = 0;
   /// Rare-event chunks only: per-sample likelihood-ratio weight state
   /// (sum, sum of squares) plus the squared-weight mass on SER errors.
@@ -117,18 +127,19 @@ PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
         std::max<std::uint64_t>(cr.stats.total_bits, 1));
     const double elapsed_s = cr.stats.elapsed.seconds();
     PointResult r;
-    r.metrics = {(cr.w_symbol_errors + cr.w_erasures) / n,
-                 cr.w_bit_errors / bits,
-                 cr.w_erasures / n,
-                 cr.w_noise_captures / n,
-                 link.ppm().config().slot_width.picoseconds(),
-                 cr.stats.raw_throughput().bits_per_second(),
-                 elapsed_s > 0.0
-                     ? (static_cast<double>(cr.stats.total_bits) - cr.w_bit_errors) /
-                           elapsed_s
-                     : 0.0,
-                 cr.stats.energy_per_bit().joules(),
-                 static_cast<double>(recalibrations)};
+    r.metrics = {{"ser", (cr.w_symbol_errors + cr.w_erasures) / n},
+                 {"ber", cr.w_bit_errors / bits},
+                 {"erasure_rate", cr.w_erasures / n},
+                 {"noise_capture_rate", cr.w_noise_captures / n},
+                 {"slot_ps", link.ppm().config().slot_width.picoseconds()},
+                 {"raw_tp_bps", cr.stats.raw_throughput().bits_per_second()},
+                 {"goodput_bps",
+                  elapsed_s > 0.0
+                      ? (static_cast<double>(cr.stats.total_bits) - cr.w_bit_errors) /
+                            elapsed_s
+                      : 0.0},
+                 {"energy_per_bit_j", cr.stats.energy_per_bit().joules()},
+                 {"recalibrations", static_cast<double>(recalibrations)}};
     r.rng_draws = process.draws() + cr.rng_draws + fault_draws;
     r.weight_sum = cr.weights.sum();
     r.weight_sum_sq = cr.weights.sum_sq();
@@ -190,22 +201,24 @@ PointResult run_p2p_symbols(const ScenarioSpec& s, std::uint64_t samples, RngStr
 
   const auto sent = std::max<std::uint64_t>(stats.symbols_sent, 1);
   PointResult r;
-  r.metrics = {stats.symbol_error_rate(),
-               stats.bit_error_rate(),
-               static_cast<double>(stats.erasures) / static_cast<double>(sent),
-               static_cast<double>(stats.noise_captures) / static_cast<double>(sent),
-               link.ppm().config().slot_width.picoseconds(),
-               stats.raw_throughput().bits_per_second(),
-               stats.goodput().bits_per_second(),
-               stats.energy_per_bit().joules(),
-               static_cast<double>(recalibrations)};
+  r.metrics = {{"ser", stats.symbol_error_rate()},
+               {"ber", stats.bit_error_rate()},
+               {"erasure_rate", static_cast<double>(stats.erasures) / static_cast<double>(sent)},
+               {"noise_capture_rate",
+                static_cast<double>(stats.noise_captures) / static_cast<double>(sent)},
+               {"slot_ps", link.ppm().config().slot_width.picoseconds()},
+               {"raw_tp_bps", stats.raw_throughput().bits_per_second()},
+               {"goodput_bps", stats.goodput().bits_per_second()},
+               {"energy_per_bit_j", stats.energy_per_bit().joules()},
+               {"recalibrations", static_cast<double>(recalibrations)}};
   // Counter-stream draws of the batched engine live in stats, not in
   // the mt19937 streams; both are deterministic per (spec, seed).
   r.rng_draws = process.draws() + tx.draws() + stats.rng_draws + fault_draws;
   return r;
 }
 
-PointResult run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngStream& rng) {
+PointResult run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngStream& rng,
+                           const fault::Realisation* /*fr*/, std::size_t /*point_index*/) {
   RngStream process = rng.fork("process");
   const link::OpticalLink link(s.device, process);
   RngStream tx = rng.fork("tx");
@@ -231,14 +244,16 @@ PointResult run_p2p_frames(const ScenarioSpec& s, std::uint64_t transfers, RngSt
 
   const double n = static_cast<double>(std::max<std::uint64_t>(transfers, 1));
   PointResult r;
-  r.metrics = {static_cast<double>(ok) / n, static_cast<double>(corrections) / n,
-               s.fec == FecKind::kHamming ? link::FecLink::code_rate() : 1.0};
+  r.metrics = {{"delivery_rate", static_cast<double>(ok) / n},
+               {"corrections_per_transfer", static_cast<double>(corrections) / n},
+               {"code_rate", s.fec == FecKind::kHamming ? link::FecLink::code_rate() : 1.0}};
   r.rng_draws = process.draws() + tx.draws();
   return r;
 }
 
 PointResult run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
-                                 RngStream& rng) {
+                                 RngStream& rng, const fault::Realisation* /*fr*/,
+                                 std::size_t /*point_index*/) {
   RngStream process = rng.fork("process");
   const tdc::DelayLine line(s.device.delay_line, process);
   tdc::TdcConfig cfg;
@@ -254,14 +269,16 @@ PointResult run_p2p_code_density(const ScenarioSpec& s, std::uint64_t samples,
   const tdc::NonlinearityReport rep = tdc::code_density_test(tdc, samples, hits);
 
   PointResult r;
-  r.metrics = {rep.max_abs_dnl, rep.max_abs_inl, rep.lsb_s * 1e12,
-               static_cast<double>(rep.codes)};
+  r.metrics = {{"max_abs_dnl_lsb", rep.max_abs_dnl},
+               {"max_abs_inl_lsb", rep.max_abs_inl},
+               {"lsb_ps", rep.lsb_s * 1e12},
+               {"codes", static_cast<double>(rep.codes)}};
   r.rng_draws = process.draws() + hits.draws();
   return r;
 }
 
 PointResult run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
-                    const fault::Realisation* fr) {
+                    const fault::Realisation* fr, std::size_t /*point_index*/) {
   link::WdmLinkConfig wc;
   wc.grid = s.wdm.grid;
   wc.filter = s.wdm.filter;
@@ -289,17 +306,18 @@ PointResult run_wdm(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
   const std::size_t n = wdm.channels();
 
   PointResult r;
-  r.metrics = {agg / 1e9,
-               agg / static_cast<double>(n) / 1e6,
-               run.worst_symbol_error_rate(),
-               static_cast<double>(captures),
-               wdm.collected_fraction(0, 0),
-               wdm.collected_fraction(n - 1, n - 1)};
+  r.metrics = {{"aggregate_gbps", agg / 1e9},
+               {"per_channel_mbps", agg / static_cast<double>(n) / 1e6},
+               {"worst_ser", run.worst_symbol_error_rate()},
+               {"noise_captures", static_cast<double>(captures)},
+               {"collected_short", wdm.collected_fraction(0, 0)},
+               {"collected_long", wdm.collected_fraction(n - 1, n - 1)}};
   r.rng_draws = process.draws() + tx.draws();
   return r;
 }
 
-PointResult run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng) {
+PointResult run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
+                    const fault::Realisation* /*fr*/, std::size_t /*point_index*/) {
   bus::VerticalBusConfig bc;
   bc.die = s.bus.die;
   bc.dies = s.bus.dies;
@@ -323,10 +341,11 @@ PointResult run_bus(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng
     errors += d.symbol_errors;
   }
   PointResult r;
-  r.metrics = {run.worst_symbol_error_rate(),
-               sent > 0 ? static_cast<double>(errors) / static_cast<double>(sent) : 0.0,
-               static_cast<double>(vbus.serviceable_dies()),
-               vbus.aggregate_broadcast_goodput().bits_per_second() / 1e9};
+  r.metrics = {
+      {"worst_ser", run.worst_symbol_error_rate()},
+      {"mean_ser", sent > 0 ? static_cast<double>(errors) / static_cast<double>(sent) : 0.0},
+      {"serviceable_dies", static_cast<double>(vbus.serviceable_dies())},
+      {"aggregate_goodput_gbps", vbus.aggregate_broadcast_goodput().bits_per_second() / 1e9}};
   r.rng_draws = mc.draws();
   return r;
 }
@@ -508,125 +527,149 @@ PointResult run_noc(const ScenarioSpec& s, std::uint64_t slots, RngStream& rng,
           : 0.0;
 
   PointResult r;
-  r.metrics = {run.carried_load(),
-               run.delivery_ratio(),
-               transfer_p,
-               run.latency.mean_slots,
-               run.latency.p99_slots,
-               1.0 - static_cast<double>(run.idle_slots) /
-                         static_cast<double>(std::max<std::uint64_t>(run.slots, 1)),
-               run.fairness_index(),
-               hot_rate,
-               static_cast<double>(retry_drops),
-               static_cast<double>(queue_drops)};
+  r.metrics = {{"carried_load", run.carried_load()},
+               {"delivery_ratio", run.delivery_ratio()},
+               {"transfer_p", transfer_p},
+               {"mean_latency_slots", run.latency.mean_slots},
+               {"p99_slots", run.latency.p99_slots},
+               {"utilisation", 1.0 - static_cast<double>(run.idle_slots) /
+                                         static_cast<double>(
+                                             std::max<std::uint64_t>(run.slots, 1))},
+               {"fairness", run.fairness_index()},
+               {"hot_rate", hot_rate},
+               {"retry_drops", static_cast<double>(retry_drops)},
+               {"queue_drops", static_cast<double>(queue_drops)}};
   r.rng_draws = alloc_rng.draws() + process.draws() + probe_draws + run_rng.draws();
   return r;
 }
 
-PointResult dispatch(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
-                     const fault::Realisation* fr, std::size_t point_index) {
-  // Pixel faults never reach here: they fold analytically into the
-  // point's SPAD parameters (Poisson thinning), so faulted specs still
-  // ride the batched SIMD kernels. fr carries only the realisations an
-  // engine must act on (windows, drift, channel scales, dead dies).
+/// One workload: the metric schema beside the chunk function that
+/// fills it.
+struct Workload {
+  std::vector<MetricDef> metrics;
+  PointResult (*run)(const ScenarioSpec&, std::uint64_t samples, RngStream&,
+                     const fault::Realisation*, std::size_t point_index);
+
+  /// Runs one chunk of `samples` samples and returns its record. Throws
+  /// std::logic_error when the chunk function's named values do not
+  /// match the schema column by column.
+  ChunkRecord chunk(const ScenarioSpec& s, std::uint64_t samples, RngStream& rng,
+                    const fault::Realisation* fr, std::size_t point_index) const {
+    const PointResult out = run(s, samples, rng, fr, point_index);
+    ChunkRecord rec{samples, out.rng_draws, {}, out.weight_sum, out.weight_sum_sq,
+                    out.err_weight_sq};
+    for (std::size_t m = 0; m < out.metrics.size() && m < metrics.size(); ++m) {
+      if (out.metrics[m].name != metrics[m].name) break;
+      rec.metrics.push_back(out.metrics[m].value);
+    }
+    if (rec.metrics.size() != metrics.size() || out.metrics.size() != metrics.size()) {
+      throw std::logic_error(std::string("scenario: the ") + to_string(s.topology) +
+                             " workload's named values stop matching its schema at metric #" +
+                             std::to_string(rec.metrics.size()));
+    }
+    return rec;
+  }
+};
+
+/// The workload table, and the only topology x traffic-mode switch.
+/// Pixel faults never reach a chunk function: they fold analytically
+/// into the point's SPAD parameters (Poisson thinning), so faulted specs
+/// still ride the batched SIMD kernels. A chunk function's fault
+/// realisation carries only what an engine must act on (windows, drift,
+/// channel scales, dead dies).
+const Workload& workload_for(const ScenarioSpec& s) {
+  using K = MetricKind;
+  static const Workload kSymbols{{{"ser", K::kRate},
+                                  {"ber", K::kRate},
+                                  {"erasure_rate", K::kRate},
+                                  {"noise_capture_rate", K::kRate},
+                                  {"slot_ps", K::kConstant},
+                                  {"raw_tp_bps", K::kMean},
+                                  {"goodput_bps", K::kMean},
+                                  {"energy_per_bit_j", K::kMean},
+                                  {"recalibrations", K::kCount}},
+                                 run_p2p_symbols};
+  static const Workload kFrames{{{"delivery_rate", K::kRate},
+                                 {"corrections_per_transfer", K::kMean},
+                                 {"code_rate", K::kConstant}},
+                                run_p2p_frames};
+  // Whole-run order statistics: never chunk-merged (validate() rejects
+  // adaptive precision for this mode).
+  static const Workload kCodeDensity{{{"max_abs_dnl_lsb", K::kConstant},
+                                      {"max_abs_inl_lsb", K::kConstant},
+                                      {"lsb_ps", K::kConstant},
+                                      {"codes", K::kConstant}},
+                                     run_p2p_code_density};
+  // worst_ser is a per-window order statistic: adaptive chunks treat
+  // each chunk's worst as one batch-means observation.
+  static const Workload kWdm{{{"aggregate_gbps", K::kMean},
+                              {"per_channel_mbps", K::kMean},
+                              {"worst_ser", K::kMean},
+                              {"noise_captures", K::kCount},
+                              {"collected_short", K::kConstant},
+                              {"collected_long", K::kConstant}},
+                             run_wdm};
+  static const Workload kBus{{{"worst_ser", K::kMean},
+                              {"mean_ser", K::kRate},
+                              {"serviceable_dies", K::kConstant},
+                              {"aggregate_goodput_gbps", K::kConstant}},
+                             run_bus};
+  static const Workload kNoc{{{"carried_load", K::kRate},
+                              {"delivery_ratio", K::kRate},
+                              {"transfer_p", K::kRate},
+                              {"mean_latency_slots", K::kMean},
+                              {"p99_slots", K::kMean},
+                              {"utilisation", K::kRate},
+                              {"fairness", K::kMean},
+                              {"hot_rate", K::kRate},
+                              {"retry_drops", K::kCount},
+                              {"queue_drops", K::kCount}},
+                             run_noc};
   switch (s.topology) {
     case Topology::kPointToPoint:
       switch (s.resolved_mode()) {
         case TrafficMode::kFrames:
-          return run_p2p_frames(s, samples, rng);
+          return kFrames;
         case TrafficMode::kCodeDensity:
-          return run_p2p_code_density(s, samples, rng);
+          return kCodeDensity;
         default:
-          return run_p2p_symbols(s, samples, rng, fr, point_index);
+          return kSymbols;
       }
     case Topology::kWdm:
-      return run_wdm(s, samples, rng, fr);
+      return kWdm;
     case Topology::kVerticalBus:
-      return run_bus(s, samples, rng);
+      return kBus;
     case Topology::kStackNoc:
-      return run_noc(s, samples, rng, fr, point_index);
+      return kNoc;
   }
   throw std::logic_error("scenario: unhandled topology");
 }
 
+/// The one list of kind labels (the "kind" field of report JSON).
+constexpr std::pair<MetricKind, const char*> kKindNames[] = {
+    {MetricKind::kRate, "rate"},
+    {MetricKind::kMean, "mean"},
+    {MetricKind::kCount, "count"},
+    {MetricKind::kConstant, "constant"}};
+
 }  // namespace
 
 const char* to_string(MetricKind k) {
-  switch (k) {
-    case MetricKind::kRate:
-      return "rate";
-    case MetricKind::kMean:
-      return "mean";
-    case MetricKind::kCount:
-      return "count";
-    case MetricKind::kConstant:
-      return "constant";
+  for (const auto& [kind, label] : kKindNames) {
+    if (kind == k) return label;
   }
   return "unknown";
 }
 
 MetricKind metric_kind_from_string(const std::string& name) {
-  if (name == "rate") return MetricKind::kRate;
-  if (name == "mean") return MetricKind::kMean;
-  if (name == "count") return MetricKind::kCount;
-  if (name == "constant") return MetricKind::kConstant;
+  for (const auto& [kind, label] : kKindNames) {
+    if (name == label) return kind;
+  }
   throw std::invalid_argument("scenario: unknown metric kind '" + name + "'");
 }
 
-std::vector<MetricDef> metrics_for(const ScenarioSpec& spec) {
-  using K = MetricKind;
-  switch (spec.topology) {
-    case Topology::kPointToPoint:
-      switch (spec.resolved_mode()) {
-        case TrafficMode::kFrames:
-          return {{"delivery_rate", K::kRate},
-                  {"corrections_per_transfer", K::kMean},
-                  {"code_rate", K::kConstant}};
-        case TrafficMode::kCodeDensity:
-          // Whole-run order statistics: never chunk-merged (validate()
-          // rejects adaptive precision for this mode).
-          return {{"max_abs_dnl_lsb", K::kConstant},
-                  {"max_abs_inl_lsb", K::kConstant},
-                  {"lsb_ps", K::kConstant},
-                  {"codes", K::kConstant}};
-        default:
-          return {{"ser", K::kRate},
-                  {"ber", K::kRate},
-                  {"erasure_rate", K::kRate},
-                  {"noise_capture_rate", K::kRate},
-                  {"slot_ps", K::kConstant},
-                  {"raw_tp_bps", K::kMean},
-                  {"goodput_bps", K::kMean},
-                  {"energy_per_bit_j", K::kMean},
-                  {"recalibrations", K::kCount}};
-      }
-    case Topology::kWdm:
-      // worst_ser is a per-window order statistic: adaptive chunks
-      // treat each chunk's worst as one batch-means observation.
-      return {{"aggregate_gbps", K::kMean},
-              {"per_channel_mbps", K::kMean},
-              {"worst_ser", K::kMean},
-              {"noise_captures", K::kCount},
-              {"collected_short", K::kConstant},
-              {"collected_long", K::kConstant}};
-    case Topology::kVerticalBus:
-      return {{"worst_ser", K::kMean},
-              {"mean_ser", K::kRate},
-              {"serviceable_dies", K::kConstant},
-              {"aggregate_goodput_gbps", K::kConstant}};
-    case Topology::kStackNoc:
-      return {{"carried_load", K::kRate},
-              {"delivery_ratio", K::kRate},
-              {"transfer_p", K::kRate},
-              {"mean_latency_slots", K::kMean},
-              {"p99_slots", K::kMean},
-              {"utilisation", K::kRate},
-              {"fairness", K::kMean},
-              {"hot_rate", K::kRate},
-              {"retry_drops", K::kCount},
-              {"queue_drops", K::kCount}};
-  }
-  return {};
+const std::vector<MetricDef>& metrics_for(const ScenarioSpec& spec) {
+  return workload_for(spec).metrics;
 }
 
 std::string RunPoint::label(const std::vector<std::string>& axis_names) const {
@@ -637,6 +680,90 @@ std::string RunPoint::label(const std::vector<std::string>& axis_names) const {
     out += (a < axis_names.size() ? axis_names[a] : "axis") + "=" + coordinate[a];
   }
   return out;
+}
+
+void RunPoint::add_chunk(const std::vector<MetricKind>& kinds, const ChunkRecord& chunk) {
+  for (std::size_t m = 0; m < kinds.size(); ++m) {
+    switch (kinds[m]) {
+      case MetricKind::kRate:
+        rates[m].add(chunk.metrics[m], chunk.samples);
+        break;
+      case MetricKind::kMean:
+        means[m].add(chunk.metrics[m], chunk.samples);
+        break;
+      case MetricKind::kCount:
+        sums[m] += chunk.metrics[m];
+        break;
+      case MetricKind::kConstant:
+        break;
+    }
+    last[m] = chunk.metrics[m];
+  }
+  if (chunk.weight_sum > 0.0) {
+    weights.merge(analysis::WeightStats::from_state(chunk.weight_sum, chunk.weight_sum_sq,
+                                                    chunk.samples));
+    err_weight_sq += chunk.err_weight_sq;
+  }
+  samples += chunk.samples;
+  ++chunks;
+  rng_draws += chunk.rng_draws;
+}
+
+void RunPoint::pool(const std::vector<MetricKind>& kinds, const RunPoint& other) {
+  for (std::size_t m = 0; m < kinds.size(); ++m) {
+    switch (kinds[m]) {
+      case MetricKind::kRate:
+        rates[m].merge(other.rates[m]);
+        break;
+      case MetricKind::kMean:
+        means[m].merge(other.means[m]);
+        break;
+      case MetricKind::kCount:
+        sums[m] += other.sums[m];
+        break;
+      case MetricKind::kConstant:
+        if (last[m] != other.last[m]) {
+          std::ostringstream os;
+          os << "scenario: constant metric #" << m << " differs across runs at point "
+             << point_index << " (" << last[m] << " vs " << other.last[m] << ")";
+          throw std::invalid_argument(os.str());
+        }
+        break;
+    }
+  }
+  // Likelihood-ratio weight state pools like the accumulators: sums of
+  // independent per-sample moments; n_eff/weight_cv are recomputed.
+  weights.merge(other.weights);
+  err_weight_sq += other.err_weight_sq;
+  samples += other.samples;
+  chunks += other.chunks;
+  rng_draws += other.rng_draws;
+  wall_ns += other.wall_ns;
+}
+
+analysis::Estimate RunPoint::estimate(const std::vector<MetricKind>& kinds, std::size_t m,
+                                      double z) const {
+  switch (kinds[m]) {
+    case MetricKind::kRate:
+      return rates[m].wilson(z);
+    case MetricKind::kMean:
+      return means[m].interval(z);
+    case MetricKind::kCount:
+      // Extensive total over every chunk run so far.
+      return analysis::Estimate{sums[m], sums[m], sums[m], samples};
+    case MetricKind::kConstant:
+      break;
+  }
+  return analysis::Estimate{last[m], last[m], last[m], samples};
+}
+
+void RunPoint::set_estimates(const std::vector<MetricKind>& kinds, double z) {
+  estimates.clear();
+  metrics.clear();
+  for (std::size_t m = 0; m < kinds.size(); ++m) {
+    estimates.push_back(estimate(kinds, m, z));
+    metrics.push_back(estimates.back().value);
+  }
 }
 
 const RunPoint* RunReport::find(const std::string& label) const {
@@ -744,11 +871,12 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   report.confidence_z = base.precision.confidence_z;
   report.shard = options.shard;
   for (const SweepAxis& a : base.sweep) report.axis_names.push_back(a.param);
-  const std::vector<MetricDef> defs = metrics_for(base);
-  for (const MetricDef& d : defs) {
+  const Workload& workload = workload_for(base);
+  for (const MetricDef& d : workload.metrics) {
     report.metric_names.push_back(d.name);
     report.metric_kinds.push_back(d.kind);
   }
+  const std::vector<MetricKind>& kinds = report.metric_kinds;
 
   sim::BatchConfig bc;
   bc.threads = threads_;
@@ -756,8 +884,8 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   const sim::BatchRunner runner(bc);
   report.threads = runner.threads();
 
-  // One accumulator per sweep point; the fixed-budget path is the
-  // adaptive path degenerated to a single mandatory chunk, so both
+  // One accumulating RunPoint per sweep point; the fixed-budget path is
+  // the adaptive path degenerated to a single mandatory chunk, so both
   // produce the same estimate structure.
   struct PointState {
     bool init = false;
@@ -768,34 +896,10 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
     double z = 1.96;
     std::uint64_t chunk_size = 0;
     std::size_t target = 0;
-    std::vector<analysis::RateAccumulator> rates;
-    std::vector<analysis::MeanAccumulator> means;
-    std::vector<double> sums;
-    std::vector<double> last;
-    analysis::WeightStats weights;
-    double err_weight_sq = 0.0;
-    std::uint64_t samples = 0;
-    std::uint64_t chunks = 0;
-    std::uint64_t rng_draws = 0;
+    RunPoint acc;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_save_failures = 0;
-    double wall_ns = 0.0;
-  };
-  const auto estimate_of = [&defs](const PointState& st, std::size_t m) {
-    switch (defs[m].kind) {
-      case MetricKind::kRate:
-        return st.rates[m].wilson(st.z);
-      case MetricKind::kMean:
-        return st.means[m].interval(st.z);
-      case MetricKind::kCount:
-        // Extensive total over every chunk run so far -- the same
-        // "whole run" semantics the fixed path reports.
-        return analysis::Estimate{st.sums[m], st.sums[m], st.sums[m], st.samples};
-      case MetricKind::kConstant:
-        break;
-    }
-    return analysis::Estimate{st.last[m], st.last[m], st.last[m], st.samples};
   };
 
   const bool adaptive = base.precision.enabled;
@@ -817,6 +921,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
           const std::vector<std::size_t> idx = unravel(i, base.sweep);
           for (std::size_t a = 0; a < base.sweep.size(); ++a) {
             apply_axis_value(st.point, base.sweep[a], idx[a]);
+            st.acc.coordinate.push_back(base.sweep[a].display(idx[a]));
           }
           // Re-validate after axis application: a sweep can push the
           // spec into an invalid corner (e.g. channels = 0).
@@ -857,16 +962,18 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
             st.rule.stop_below = prec.stop_below;
             st.rule.min_samples = prec.resolve_min(st.point.budget);
             st.rule.max_samples = prec.resolve_max(st.point.budget);
-            st.target = stop_metric_index(defs, prec.metric);
+            st.target = stop_metric_index(workload.metrics, prec.metric);
           } else {
             // Fixed budget: one chunk of exactly the resolved samples.
             st.chunk_size = st.point.budget.resolve();
             st.rule.max_samples = st.chunk_size;
           }
-          st.rates.resize(defs.size());
-          st.means.resize(defs.size());
-          st.sums.resize(defs.size(), 0.0);
-          st.last.resize(defs.size(), 0.0);
+          st.acc.point_index = i;
+          st.acc.chunks = 0;
+          st.acc.rates.resize(kinds.size());
+          st.acc.means.resize(kinds.size());
+          st.acc.sums.resize(kinds.size(), 0.0);
+          st.acc.last.resize(kinds.size(), 0.0);
           st.init = true;
         }
         // max_samples is a HARD cap: the final chunk shrinks to land on
@@ -874,8 +981,8 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
         // (A single short tail chunk is a negligible deviation from the
         // batch-means equal-size assumption.)
         std::uint64_t run_samples = st.chunk_size;
-        if (st.rule.max_samples > st.samples) {
-          run_samples = std::min(run_samples, st.rule.max_samples - st.samples);
+        if (st.rule.max_samples > st.acc.samples) {
+          run_samples = std::min(run_samples, st.rule.max_samples - st.acc.samples);
         }
         // Chunk (point i, ordinal `chunk`) is a pure function of the
         // store key: consult the cache, simulate only on miss. A hit
@@ -883,102 +990,49 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
         // repro scale or precision override re-keys via the hash, but a
         // corrupt/truncated entry must never slip through).
         ChunkKey key;
-        PointResult r;
-        bool cached = false;
+        std::optional<ChunkRecord> rec;
         if (store != nullptr) {
           key = ChunkKey{report.spec_hash, base.seed, i, chunk};
+          rec = store->load(key);
           // A rare-event point's record must carry weight state (the
           // sum of weights is positive by construction): a record
           // missing it is stale or torn, never a hit.
-          if (auto rec = store->load(key);
-              rec && rec->samples == run_samples && rec->metrics.size() == defs.size() &&
-              (!st.point.variance.active() || rec->weight_sum > 0.0)) {
-            r.metrics = std::move(rec->metrics);
-            r.rng_draws = rec->rng_draws;
-            r.weight_sum = rec->weight_sum;
-            r.weight_sum_sq = rec->weight_sum_sq;
-            r.err_weight_sq = rec->err_weight_sq;
-            cached = true;
+          if (rec && (rec->samples != run_samples || rec->metrics.size() != kinds.size() ||
+                      (st.point.variance.active() && !(rec->weight_sum > 0.0)))) {
+            rec.reset();
           }
         }
-        if (cached) {
+        if (rec) {
           ++st.cache_hits;
         } else {
           const auto t0 = std::chrono::steady_clock::now();
-          r = dispatch(st.point, run_samples, rng, st.faulted ? &st.fr : nullptr, i);
-          st.wall_ns += std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+          rec = workload.chunk(st.point, run_samples, rng, st.faulted ? &st.fr : nullptr, i);
+          st.acc.wall_ns += std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
           if (store != nullptr) {
             ++st.cache_misses;
-            if (!store->save(key, ChunkRecord{run_samples, r.rng_draws, r.metrics,
-                                              r.weight_sum, r.weight_sum_sq,
-                                              r.err_weight_sq})) {
+            if (!store->save(key, *rec)) {
               ++st.cache_save_failures;
               warn_save_failure_once();
             }
           }
         }
-        for (std::size_t m = 0; m < defs.size(); ++m) {
-          switch (defs[m].kind) {
-            case MetricKind::kRate:
-              st.rates[m].add(r.metrics[m], run_samples);
-              break;
-            case MetricKind::kMean:
-              st.means[m].add(r.metrics[m], run_samples);
-              break;
-            case MetricKind::kCount:
-              st.sums[m] += r.metrics[m];
-              break;
-            case MetricKind::kConstant:
-              break;
-          }
-          st.last[m] = r.metrics[m];
-        }
-        if (r.weight_sum > 0.0) {
-          st.weights.merge(analysis::WeightStats::from_state(
-              r.weight_sum, r.weight_sum_sq, run_samples));
-          st.err_weight_sq += r.err_weight_sq;
-        }
-        st.samples += run_samples;
-        ++st.chunks;
-        st.rng_draws += r.rng_draws;
+        st.acc.add_chunk(kinds, *rec);
       },
       [&](std::size_t /*i*/, const PointState& st) {
-        return st.rule.should_stop(estimate_of(st, st.target));
+        return st.rule.should_stop(st.acc.estimate(kinds, st.target, st.z));
       });
 
   report.points.reserve(point_ids.size());
-  for (std::size_t slot = 0; slot < point_ids.size(); ++slot) {
-    PointState& st = results[slot];
-    RunPoint p;
-    p.point_index = point_ids[slot];
-    const std::vector<std::size_t> idx = unravel(p.point_index, base.sweep);
-    for (std::size_t a = 0; a < base.sweep.size(); ++a) {
-      p.coordinate.push_back(base.sweep[a].display(idx[a]));
-    }
-    p.estimates.reserve(defs.size());
-    p.metrics.reserve(defs.size());
-    for (std::size_t m = 0; m < defs.size(); ++m) {
-      p.estimates.push_back(estimate_of(st, m));
-      p.metrics.push_back(p.estimates.back().value);
-    }
-    // Export the accumulator state itself: merge pools THIS, then
+  for (PointState& st : results) {
+    // The accumulator state itself is exported: merge pools THIS, then
     // recomputes the intervals -- it never averages estimates.
-    p.rates = std::move(st.rates);
-    p.means = std::move(st.means);
-    p.sums = std::move(st.sums);
-    p.last = std::move(st.last);
-    p.weights = st.weights;
-    p.err_weight_sq = st.err_weight_sq;
-    p.rng_draws = st.rng_draws;
-    p.samples = st.samples;
-    p.chunks = st.chunks;
-    p.wall_ns = st.wall_ns;
+    st.acc.set_estimates(kinds, st.z);
     report.cache_hits += st.cache_hits;
     report.cache_misses += st.cache_misses;
     report.cache_save_failures += st.cache_save_failures;
-    report.points.push_back(std::move(p));
+    report.points.push_back(std::move(st.acc));
   }
   return report;
 }

@@ -45,9 +45,11 @@ double parse_double(const std::string& key, const std::string& value) {
 
 std::uint64_t parse_count(const std::string& key, const std::string& value) {
   const double v = parse_double(key, value);
-  if (v < 0.0 || v != std::floor(v)) {
+  // 2^64 and up (and inf) would make the cast below undefined.
+  if (v < 0.0 || v != std::floor(v) || v >= 18446744073709551616.0) {
     throw std::invalid_argument("scenario: parameter '" + key +
-                                "' expects a non-negative integer, got '" + value + "'");
+                                "' expects a non-negative integer below 2^64, got '" +
+                                value + "'");
   }
   return static_cast<std::uint64_t>(v);
 }
@@ -691,11 +693,14 @@ void ScenarioSpec::validate() const {
         // Weighted acceleration reshapes RATE estimators only; the
         // deterministic mean metrics (throughput, energy) gain nothing
         // and their batch-means intervals are meaningless targets here.
+        std::string rates;
+        for (const MetricDef& d : metrics_for(*this)) {
+          if (d.kind == MetricKind::kRate) rates += (rates.empty() ? "" : ", ") + d.name;
+        }
         for (const MetricDef& d : metrics_for(*this)) {
           if (d.name == precision.metric && d.kind != MetricKind::kRate) {
             err("variance: precision.metric '" + precision.metric +
-                "' is deterministic under weighting; target a rate metric "
-                "(ser, ber, erasure_rate, noise_capture_rate)");
+                "' is deterministic under weighting; target a rate metric (" + rates + ")");
           }
         }
       }

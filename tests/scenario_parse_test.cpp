@@ -7,6 +7,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "oci/scenario/parse.hpp"
 #include "oci/scenario/runner.hpp"
@@ -109,6 +110,27 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
                std::runtime_error);
   EXPECT_THROW((void)parse_spec_text("topology = mesh\n"), std::runtime_error);
   EXPECT_THROW((void)parse_spec_file("/nonexistent/x.spec"), std::runtime_error);
+}
+
+TEST(ScenarioParse, RejectsCountsPastTheUint64Range) {
+  // A count at or past 2^64 has no uint64 value: it must fail with the
+  // key named, never wrap to 0 (0 means "auto" for several keys).
+  for (const auto& [key, value] :
+       {std::pair{"samples", "1e30"}, std::pair{"samples", "18446744073709551616"},
+        std::pair{"fault.salt", "1e20"}, std::pair{"precision.max_samples", "1e20"},
+        std::pair{"precision.max_samples", "inf"}}) {
+    const std::string text = std::string(key) + " = " + value + "\n";
+    try {
+      (void)parse_spec_text(text, "big.spec");
+      FAIL() << "expected a range error for: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(key) + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest double below 2^64 still loads exactly.
+  EXPECT_EQ(parse_spec_text("fault.salt = 18446744073709549568\n").fault.salt,
+            18446744073709549568ull);
 }
 
 TEST(ScenarioParse, PrecisionKeysParse) {

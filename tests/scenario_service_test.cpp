@@ -12,9 +12,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oci/analysis/report.hpp"
@@ -200,6 +203,49 @@ TEST(SpecHash, ChangesOnEverySemanticField) {
   // Every mutation produced a distinct hash (base + 20 variants).
   EXPECT_EQ(hashes.size(), 21u);
   for (const std::string& h : hashes) EXPECT_EQ(h.size(), 64u);
+}
+
+TEST(SpecHash, EveryRegistryKeyIsHashed) {
+  // A settable field that the canonical text leaves out lets two
+  // different experiments share a cache key. So for every registry key
+  // (except seed, part of the store key, and description, prose) some
+  // non-default value must change the hash. Numeric keys try 0, 1 and
+  // 3: at most one of them is the default, or two for a flag (any
+  // non-zero reads as on). Categorical keys try valid labels.
+  const std::map<std::string, std::vector<std::string>> labels = {
+      {"name", {"other"}},
+      {"topology", {"wdm", "stack-noc"}},
+      {"mode", {"frames", "packets"}},
+      {"fec", {"none", "hamming"}},
+      {"tech_node", {"250nm", "32nm"}},
+      {"labeling", {"binary", "gray"}},
+      {"mac", {"tdma", "cac"}},
+      {"pattern", {"uniform", "hotspot"}},
+      {"delivery", {"scalar", "engine"}},
+      {"variance.kind", {"none", "tilt"}},
+      {"variance.levels", {"3:2:1"}},
+      {"precision.metric", {"ser", "ber"}}};
+  const ScenarioSpec base;
+  const std::string base_hash = scenario::spec_hash(base);
+  std::size_t checked = 0;
+  for (const std::string& key : scenario::known_params()) {
+    if (key == "seed" || key == "description") continue;
+    std::vector<std::string> values{"0", "1", "3"};
+    if (scenario::is_categorical_param(key)) {
+      const auto it = labels.find(key);
+      ASSERT_NE(it, labels.end()) << "no test labels for categorical key '" << key << "'";
+      values = it->second;
+    }
+    bool changed = false;
+    for (const std::string& v : values) {
+      ScenarioSpec s = base;
+      scenario::set_param(s, key, v);
+      changed = changed || scenario::spec_hash(s) != base_hash;
+    }
+    EXPECT_TRUE(changed) << "no value of '" << key << "' changes spec_hash";
+    ++checked;
+  }
+  EXPECT_GE(checked, 80u);
 }
 
 TEST(SpecHash, DependsOnAmbientReproScale) {
@@ -636,6 +682,32 @@ TEST(ReportIo, LoadRejectsMalformedDocuments) {
           "noresults.json",
           "{ \"schema_version\": 2, \"binary\": \"scenario_x\", \"config\": {} }")),
       std::runtime_error);
+
+  // Integer fields out of [0, 2^64) fail with the field named, instead
+  // of wrapping (a negative count read as ~2^64) or an undefined cast.
+  const fs::path good = dir / "good.json";
+  scenario::report_io::save(ScenarioRunner(2).run(sweep_spec()), good.string());
+  std::ifstream in(good);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  for (const auto& [field, bad] :
+       {std::pair{"iterations", "-5"}, std::pair{"shard_count", "-1"},
+        std::pair{"trials", "-3"}, std::pair{"seed", "1e30"},
+        std::pair{"chunks", "18446744073709551616"}, std::pair{"point_index", "0.5"}}) {
+    const std::string key = "\"" + std::string(field) + "\": ";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t end = text.find_first_of(",}", at + key.size());
+    std::string mutated = text;
+    mutated.replace(at + key.size(), end - at - key.size(), std::string(bad) + " ");
+    try {
+      (void)scenario::report_io::load(write("range.json", mutated));
+      FAIL() << "loaded " << field << " = " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(field) + "'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // -- CLI helpers --------------------------------------------------------

@@ -14,6 +14,8 @@
 //   EXPECT_RATE_GT(hits, trials, p, alpha)     CI not entirely <= p
 //   EXPECT_RATES_CONSISTENT(h1, n1, h2, n2, alpha)
 //       two-sample pooled z-test that two binomial rates agree
+//   EXPECT_POISSON_NEAR(count, mean, alpha)
+//       z-test that a Poisson count has the given mean
 #pragma once
 
 #include <gtest/gtest.h>
@@ -93,6 +95,21 @@ inline ::testing::AssertionResult RatesConsistent(std::uint64_t h1, std::uint64_
          << " at alpha=" << alpha;
 }
 
+/// Is a Poisson count consistent with its expected mean? Two-sided
+/// z-test on (count - mean) / sqrt(mean); the normal approximation is
+/// sound for means in the thousands, where the tests use it.
+inline ::testing::AssertionResult PoissonNear(std::uint64_t count, double mean, double alpha) {
+  if (!(mean > 0.0)) {
+    return ::testing::AssertionFailure() << "Poisson test needs a positive mean, got " << mean;
+  }
+  const double z = (static_cast<double>(count) - mean) / std::sqrt(mean);
+  const double z_crit = util::normal_quantile(1.0 - alpha / 2.0);
+  if (std::abs(z) <= z_crit) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "count " << count << " against Poisson mean " << mean
+                                       << " has |z| = " << std::abs(z) << " > " << z_crit
+                                       << " at alpha=" << alpha;
+}
+
 }  // namespace oci::test
 
 #define EXPECT_RATE_NEAR(hits, trials, p, alpha) \
@@ -103,3 +120,5 @@ inline ::testing::AssertionResult RatesConsistent(std::uint64_t h1, std::uint64_
   EXPECT_TRUE(::oci::test::RateGt((hits), (trials), (p), (alpha)))
 #define EXPECT_RATES_CONSISTENT(h1, n1, h2, n2, alpha) \
   EXPECT_TRUE(::oci::test::RatesConsistent((h1), (n1), (h2), (n2), (alpha)))
+#define EXPECT_POISSON_NEAR(count, mean, alpha) \
+  EXPECT_TRUE(::oci::test::PoissonNear((count), (mean), (alpha)))
