@@ -143,7 +143,9 @@ BENCHMARK(BM_ReferenceSymbol);
 // kernel (the ScenarioRunner chunk shape). The speedup gate divides
 // ns_per_op by kEngineBatch and compares against BM_EngineSymbol:
 // the batched window must come out >= 4x cheaper than the per-symbol
-// scalar walk. rng_draws is the summed per-lane counter-stream cost.
+// scalar walk (a ratio of 5-repetition medians, enforced in the
+// bench-release CI job). rng_draws is the summed per-lane
+// counter-stream cost.
 void BM_EngineWindowBatch(benchmark::State& state) {
   RngStream process(kSeed, "batch-link");
   const link::OpticalLink link(bench_link_config(), process);

@@ -40,7 +40,7 @@ void set_seed_override(std::optional<std::uint64_t> seed);
 
 /// Scans argv for --seed=N (or --seed N), REMOVES it so the remaining
 /// args can go to benchmark::Initialize, installs the value via
-/// set_seed_override, and returns it.
+/// set_seed_override, and returns it. A garbled value throws.
 [[nodiscard]] std::optional<std::uint64_t> consume_seed_arg(int& argc, char** argv);
 
 /// The seed every scenario-aware binary runs with:
@@ -61,9 +61,9 @@ void set_seed_override(std::optional<std::uint64_t> seed);
 /// Scans argv for --precision=H and --max-samples=N (= or split form),
 /// REMOVES them, and exports consumed values as OCI_PRECISION /
 /// OCI_MAX_SAMPLES so every later ScenarioRunner::run in the process
-/// sees them (call from main() before spawning threads). Unlike the
-/// forgiving seed parser, a garbled value throws std::invalid_argument
-/// -- an explicit precision override must never be silently ignored.
+/// sees them (call from main() before spawning threads). A garbled
+/// value throws std::invalid_argument -- an explicit precision override
+/// must never be silently ignored.
 void consume_precision_args(int& argc, char** argv);
 
 /// Applies the environment overrides to spec.precision in place:

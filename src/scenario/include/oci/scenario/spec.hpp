@@ -11,7 +11,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "oci/fault/fault.hpp"
@@ -240,16 +242,39 @@ struct ScenarioSpec {
 /// -- Parameter registry ----------------------------------------------
 /// One key space shared by sweep axes and the text-spec parser, so
 /// `sweep.jitter_ps = 40, 80` and `jitter_ps = 40` touch the same
-/// field. set_param parses `value` (numeric or categorical depending on
-/// the key) and applies it; unknown keys or unparseable values throw
-/// std::invalid_argument naming the key and the supported set.
+/// field. set_param parses `value` by the type of the field the key
+/// sets and applies it; unknown keys or unparseable values throw
+/// std::invalid_argument naming the key and what it accepts.
 void set_param(ScenarioSpec& spec, const std::string& key, const std::string& value);
+
+/// How a key reads its value; follows the C++ type of its field.
+enum class ParamKind {
+  kReal,   ///< double (unit keys scale it: jitter_ps, dead_time_ns, ...)
+  kCount,  ///< unsigned integer up to ParamInfo::max, the field's width
+  kFlag,   ///< bool: exactly 0 or 1
+  kLabel,  ///< one of ParamInfo::labels
+  kText,   ///< free text (name, description, precision.metric, ...)
+};
+
+struct ParamInfo {
+  ParamKind kind = ParamKind::kReal;
+  std::uint64_t max = 0;                 ///< kCount/kFlag: largest accepted value
+  std::vector<std::string_view> labels;  ///< kLabel: every accepted label
+};
+
+/// What `key` accepts; throws std::invalid_argument for an unknown key.
+[[nodiscard]] const ParamInfo& param_info(const std::string& key);
+
+/// The integer rule of every count key, CLI flag and report field: a
+/// plain digit token is read exactly (every uint64 seed loads); any
+/// other token must be a whole double in [0, 2^64) ("1e6"). nullopt
+/// for anything else.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint64(const std::string& text);
 
 /// True when the registry knows `key`.
 [[nodiscard]] bool is_known_param(const std::string& key);
 
-/// True when `key` takes categorical (string) values: mac, fec,
-/// tech_node, labeling, topology, pattern, delivery, mode.
+/// True when `key` takes labels or free text rather than numbers.
 [[nodiscard]] bool is_categorical_param(const std::string& key);
 
 /// Sorted list of every registry key (error messages, docs).
@@ -258,7 +283,7 @@ void set_param(ScenarioSpec& spec, const std::string& key, const std::string& va
 /// Applies point `index` of `axis` to the spec via set_param.
 void apply_axis_value(ScenarioSpec& spec, const SweepAxis& axis, std::size_t index);
 
-/// String names of the enums (reports, parsing).
+/// Canonical label of each value (its first registry label).
 [[nodiscard]] const char* to_string(Topology t);
 [[nodiscard]] const char* to_string(TrafficMode m);
 [[nodiscard]] const char* to_string(FecKind f);

@@ -1,8 +1,8 @@
 #include "oci/scenario/cli.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 namespace oci::scenario {
 
@@ -16,6 +16,46 @@ std::optional<std::uint64_t>& cli_seed_slot() {
   return slot;
 }
 
+/// Removes every `--flag=VALUE` and `--flag VALUE` from argv (so the
+/// remaining args can go to other parsers) and returns the last value;
+/// nullopt when the flag is absent. A split flag with no value throws.
+std::optional<std::string> consume_flag(int& argc, char** argv, std::string_view flag) {
+  std::optional<std::string> out;
+  int write = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == flag) {
+      if (i + 1 == argc) {
+        throw std::invalid_argument("scenario: " + std::string(flag) + " needs a value");
+      }
+      out = argv[++i];
+    } else if (arg.starts_with(flag) && arg.size() > flag.size() && arg[flag.size()] == '=') {
+      out = std::string(arg.substr(flag.size() + 1));
+    } else {
+      argv[write++] = argv[i];
+    }
+  }
+  if (write < argc) {
+    argc = write;
+    argv[argc] = nullptr;
+  }
+  return out;
+}
+
+/// Exports a consumed override as its environment variable so every
+/// later resolution in the process sees it -- after checking it with
+/// the same strict parser the environment uses, so an explicit CLI
+/// override is never silently dropped.
+void export_checked(const std::optional<std::string>& value, const char* flag, const char* var,
+                    bool (*valid)(), const char* expected) {
+  if (!value) return;
+  setenv(var, value->c_str(), 1);
+  if (valid()) return;
+  unsetenv(var);
+  throw std::invalid_argument(std::string("scenario: ") + flag + " needs " + expected +
+                              ", got '" + *value + "'");
+}
+
 }  // namespace
 
 void set_seed_override(std::optional<std::uint64_t> seed) { cli_seed_slot() = seed; }
@@ -24,43 +64,25 @@ std::optional<std::uint64_t> seed_override() { return cli_seed_slot(); }
 
 std::optional<std::uint64_t> seed_from_env() {
   const char* env = std::getenv("OCI_SEED");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return std::nullopt;
-  return static_cast<std::uint64_t>(v);
+  if (env == nullptr) return std::nullopt;
+  return parse_uint64(env);
 }
 
 std::optional<std::uint64_t> consume_seed_arg(int& argc, char** argv) {
-  std::optional<std::uint64_t> out;
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      value = arg + 7;
-    } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-      value = argv[++i];
-    }
-    if (value != nullptr) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(value, &end, 10);
-      if (end != value && *end == '\0') out = static_cast<std::uint64_t>(v);
-      continue;  // consumed either way; a garbled value falls back
-    }
-    argv[write++] = argv[i];
-  }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
+  const std::optional<std::string> text = consume_flag(argc, argv, "--seed");
+  if (!text) return std::nullopt;
+  const std::optional<std::uint64_t> seed = parse_uint64(*text);
+  if (!seed) {
+    throw std::invalid_argument("scenario: --seed needs an unsigned integer, got '" + *text +
+                                "'");
   }
   // Install the CLI seed as the in-process override so the documented
   // precedence (--seed beats OCI_SEED beats the spec) holds for EVERY
   // later resolution in this process -- including ScenarioRunner::
   // run()'s own re-resolution, which would otherwise re-apply a stale
   // OCI_SEED over the CLI value. The environment is left untouched.
-  if (out) set_seed_override(out);
-  return out;
+  set_seed_override(seed);
+  return seed;
 }
 
 std::optional<double> precision_from_env() {
@@ -74,60 +96,19 @@ std::optional<double> precision_from_env() {
 
 std::optional<std::uint64_t> max_samples_from_env() {
   const char* env = std::getenv("OCI_MAX_SAMPLES");
-  if (env == nullptr || *env == '\0' || env[0] == '-') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
+  if (env == nullptr) return std::nullopt;
+  const std::optional<std::uint64_t> v = parse_uint64(env);
+  if (!v || *v == 0) return std::nullopt;
+  return v;
 }
 
 void consume_precision_args(int& argc, char** argv) {
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* var = nullptr;
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--precision=", 12) == 0) {
-      var = "OCI_PRECISION";
-      value = arg + 12;
-    } else if (std::strcmp(arg, "--precision") == 0 && i + 1 < argc) {
-      var = "OCI_PRECISION";
-      value = argv[++i];
-    } else if (std::strncmp(arg, "--max-samples=", 14) == 0) {
-      var = "OCI_MAX_SAMPLES";
-      value = arg + 14;
-    } else if (std::strcmp(arg, "--max-samples") == 0 && i + 1 < argc) {
-      var = "OCI_MAX_SAMPLES";
-      value = argv[++i];
-    }
-    if (var != nullptr) {
-      // An explicit CLI override must never be silently dropped:
-      // validate with the same strict parsers the environment uses.
-      const std::string saved = value;
-      setenv(var, value, 1);
-      const bool ok = std::strcmp(var, "OCI_PRECISION") == 0
-                          ? precision_from_env().has_value()
-                          : max_samples_from_env().has_value();
-      if (!ok) {
-        unsetenv(var);
-        throw std::invalid_argument(
-            std::string("scenario: ") +
-            (std::strcmp(var, "OCI_PRECISION") == 0 ? "--precision"
-                                                    : "--max-samples") +
-            " needs a positive " +
-            (std::strcmp(var, "OCI_PRECISION") == 0 ? "number" : "integer") +
-            ", got '" + saved + "'");
-      }
-      // Exported (like the consumed seed) so EVERY later resolution in
-      // the process honours the CLI-beats-env-beats-spec precedence.
-      continue;
-    }
-    argv[write++] = argv[i];
-  }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
-  }
+  const std::optional<std::string> precision = consume_flag(argc, argv, "--precision");
+  const std::optional<std::string> max_samples = consume_flag(argc, argv, "--max-samples");
+  export_checked(precision, "--precision", "OCI_PRECISION",
+                 [] { return precision_from_env().has_value(); }, "a positive number");
+  export_checked(max_samples, "--max-samples", "OCI_MAX_SAMPLES",
+                 [] { return max_samples_from_env().has_value(); }, "a positive integer");
 }
 
 void apply_precision_overrides(ScenarioSpec& spec) {
@@ -162,47 +143,20 @@ std::uint64_t resolve_seed(std::uint64_t fallback, int& argc, char** argv) {
 
 ShardSpec parse_shard(const std::string& text) {
   const auto slash = text.find('/');
-  const auto bad = [&text] {
-    return std::invalid_argument("scenario: --shard needs i/N with i < N, got '" +
-                                 text + "'");
-  };
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) throw bad();
-  const std::string lhs = text.substr(0, slash);
-  const std::string rhs = text.substr(slash + 1);
-  char* end = nullptr;
-  const unsigned long long index = std::strtoull(lhs.c_str(), &end, 10);
-  if (end == lhs.c_str() || *end != '\0' || lhs[0] == '-') throw bad();
-  const unsigned long long count = std::strtoull(rhs.c_str(), &end, 10);
-  if (end == rhs.c_str() || *end != '\0' || rhs[0] == '-') throw bad();
-  if (count == 0 || index >= count) throw bad();
-  ShardSpec s;
-  s.index = static_cast<std::size_t>(index);
-  s.count = static_cast<std::size_t>(count);
-  return s;
+  const std::optional<std::uint64_t> index = parse_uint64(text.substr(0, slash));
+  const std::optional<std::uint64_t> count =
+      slash == std::string::npos ? std::nullopt : parse_uint64(text.substr(slash + 1));
+  if (!index || !count || *index >= *count) {
+    throw std::invalid_argument("scenario: --shard needs i/N with i < N, got '" + text + "'");
+  }
+  return ShardSpec{*index, *count};
 }
 
 std::optional<ShardSpec> consume_shard_arg(int& argc, char** argv) {
-  std::optional<ShardSpec> out;
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--shard=", 8) == 0) {
-      value = arg + 8;
-    } else if (std::strcmp(arg, "--shard") == 0 && i + 1 < argc) {
-      value = argv[++i];
-    }
-    if (value != nullptr) {
-      out = parse_shard(value);  // strict: a garbled shard must not run the full sweep
-      continue;
-    }
-    argv[write++] = argv[i];
-  }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
-  }
-  return out;
+  // Strict: a garbled shard must not run the full sweep.
+  const std::optional<std::string> text = consume_flag(argc, argv, "--shard");
+  if (!text) return std::nullopt;
+  return parse_shard(*text);
 }
 
 std::optional<std::string> cache_dir_from_env() {
@@ -212,28 +166,9 @@ std::optional<std::string> cache_dir_from_env() {
 }
 
 std::optional<std::string> consume_cache_arg(int& argc, char** argv) {
-  std::optional<std::string> out;
-  int write = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--cache=", 8) == 0) {
-      value = arg + 8;
-    } else if (std::strcmp(arg, "--cache") == 0 && i + 1 < argc) {
-      value = argv[++i];
-    }
-    if (value != nullptr) {
-      if (*value == '\0') {
-        throw std::invalid_argument("scenario: --cache needs a directory, got ''");
-      }
-      out = std::string(value);
-      continue;
-    }
-    argv[write++] = argv[i];
-  }
-  if (write < argc) {
-    argc = write;
-    argv[argc] = nullptr;
+  std::optional<std::string> out = consume_flag(argc, argv, "--cache");
+  if (out && out->empty()) {
+    throw std::invalid_argument("scenario: --cache needs a directory, got ''");
   }
   // Exported so every later resolve_cache_dir / run in the process
   // sees the CLI value -- same precedence story as seeds.

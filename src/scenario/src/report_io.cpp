@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -405,20 +404,9 @@ std::uint64_t uint_or(const JValue& obj, std::string_view key, std::uint64_t fal
     throw std::runtime_error("scenario report_io: " + path + ": field '" +
                              std::string(key) + "' is not a number");
   }
-  // A plain digit token is re-parsed exactly (a 64-bit seed is exact
-  // where the double is not); any other token must be a whole double in
-  // [0, 2^64). Negative, fractional and out-of-range values throw.
-  const std::string& t = v->text;
-  if (t.find_first_not_of("0123456789") == std::string::npos) {
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(t.c_str(), nullptr, 10);
-    if (errno == 0) return static_cast<std::uint64_t>(parsed);
-  } else if (v->num >= 0.0 && v->num == std::floor(v->num) &&
-             v->num < 18446744073709551616.0) {
-    return static_cast<std::uint64_t>(v->num);
-  }
+  if (const auto parsed = parse_uint64(v->text)) return *parsed;
   throw std::runtime_error("scenario report_io: " + path + ": field '" + std::string(key) +
-                           "' is not an integer in [0, 2^64): " + t);
+                           "' is not an integer in [0, 2^64): " + v->text);
 }
 
 std::string str_or(const JValue& obj, std::string_view key, std::string fallback,

@@ -1,14 +1,16 @@
 #include "oci/scenario/spec.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "oci/analysis/report.hpp"
 #include "oci/electrical/scaling.hpp"
@@ -23,325 +25,365 @@ using util::Frequency;
 using util::Power;
 using util::Time;
 using util::Wavelength;
+using S = ScenarioSpec;
 
-double parse_double(const std::string& key, const std::string& value) {
+/// One accepted label of a categorical key and the value it selects.
+template <typename T>
+struct Label {
+  std::string_view name;
+  T value;
+};
+
+// The label lists: the only place a categorical label is written. The
+// first label of each value is its canonical name (to_string, reports,
+// the spec hash); later ones are aliases.
+constexpr Label<Topology> kTopologies[] = {
+    {"point-to-point", Topology::kPointToPoint}, {"p2p", Topology::kPointToPoint},
+    {"wdm", Topology::kWdm},
+    {"vertical-bus", Topology::kVerticalBus},    {"bus", Topology::kVerticalBus},
+    {"stack-noc", Topology::kStackNoc},          {"noc", Topology::kStackNoc}};
+constexpr Label<TrafficMode> kModes[] = {{"auto", TrafficMode::kAuto},
+                                         {"symbols", TrafficMode::kSymbols},
+                                         {"frames", TrafficMode::kFrames},
+                                         {"code-density", TrafficMode::kCodeDensity},
+                                         {"packets", TrafficMode::kPackets}};
+constexpr Label<FecKind> kFecs[] = {{"none", FecKind::kNone}, {"hamming", FecKind::kHamming}};
+constexpr Label<modulation::SlotLabeling> kLabelings[] = {
+    {"gray", modulation::SlotLabeling::kGray}, {"binary", modulation::SlotLabeling::kBinary}};
+constexpr Label<NocPattern> kPatterns[] = {{"uniform", NocPattern::kUniform},
+                                           {"hotspot", NocPattern::kHotspot},
+                                           {"master-broadcast", NocPattern::kMasterBroadcast},
+                                           {"incast", NocPattern::kIncast},
+                                           {"broadcast-storm", NocPattern::kBroadcastStorm}};
+constexpr Label<NocDelivery> kDeliveries[] = {{"scalar", NocDelivery::kScalar},
+                                              {"fec-probe", NocDelivery::kFecProbe},
+                                              {"engine", NocDelivery::kEngine}};
+/// The MAC is a string field: its label is the value.
+constexpr std::string_view kMacs[] = {"tdma", "token", "token+pass", "aloha", "cac"};
+
+template <typename T, std::size_t N>
+const char* canonical(const Label<T> (&labels)[N], T value) {
+  for (const Label<T>& l : labels) {
+    if (l.value == value) return l.name.data();  // literals: NUL-terminated
+  }
+  return "?";
+}
+
+[[noreturn]] void reject(std::string_view key, const std::string& expected,
+                         const std::string& value) {
+  throw std::invalid_argument("scenario: parameter '" + std::string(key) + "' " + expected +
+                              ", got '" + value + "'");
+}
+
+double parse_real(std::string_view key, const std::string& value) {
   std::size_t consumed = 0;
   double v = 0.0;
   try {
     v = std::stod(value, &consumed);
   } catch (const std::exception&) {
-    throw std::invalid_argument("scenario: parameter '" + key +
-                                "' expects a number, got '" + value + "'");
+    reject(key, "expects a number", value);
   }
   // Allow trailing whitespace only.
-  for (std::size_t i = consumed; i < value.size(); ++i) {
-    if (!std::isspace(static_cast<unsigned char>(value[i]))) {
-      throw std::invalid_argument("scenario: parameter '" + key +
-                                  "' expects a number, got '" + value + "'");
-    }
+  if (value.find_first_not_of(" \t\n\v\f\r", consumed) != std::string::npos) {
+    reject(key, "expects a number", value);
   }
   return v;
 }
 
-std::uint64_t parse_count(const std::string& key, const std::string& value) {
-  const double v = parse_double(key, value);
-  // 2^64 and up (and inf) would make the cast below undefined.
-  if (v < 0.0 || v != std::floor(v) || v >= 18446744073709551616.0) {
-    throw std::invalid_argument("scenario: parameter '" + key +
-                                "' expects a non-negative integer below 2^64, got '" +
-                                value + "'");
+/// A count bounded by the width of the field it lands in (bool: 0/1).
+template <typename T>
+T parse_count(std::string_view key, const std::string& value) {
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+  const std::optional<std::uint64_t> v = parse_uint64(value);
+  if (!v || *v > kMax) {
+    reject(key,
+           std::is_same_v<T, bool> ? std::string("expects 0 or 1")
+                                   : "expects an integer in [0, " + std::to_string(kMax) + "]",
+           value);
   }
-  return static_cast<std::uint64_t>(v);
+  return static_cast<T>(*v);  // in range: checked above
 }
 
-[[noreturn]] void bad_choice(const std::string& key, const std::string& value,
-                             const std::string& choices) {
-  throw std::invalid_argument("scenario: parameter '" + key + "' must be one of {" +
-                              choices + "}, got '" + value + "'");
-}
+using Then = void (*)(S&);
 
-/// Registry entry: applies a raw string value to the spec.
-struct Param {
-  bool categorical = false;
-  std::function<void(ScenarioSpec&, const std::string&)> apply;
+/// One registry entry: what the key accepts, the member it writes
+/// (type-erased; `write` knows the type) and how. set_param checks a
+/// label against `labels` before `write` runs.
+struct Param : ParamInfo {
+  void* (*at)(S&) = nullptr;
+  void (*write)(void* at, std::string_view key, const std::string& value) = nullptr;
+  Then then = nullptr;  ///< after the write: mirrored and derived fields
 };
+using Entry = std::pair<const std::string_view, Param>;
 
-const std::map<std::string, Param>& registry() {
-  using S = ScenarioSpec;
-  static const std::map<std::string, Param> params = [] {
-    std::map<std::string, Param> r;
-    auto num = [&r](const std::string& key, std::function<void(S&, double)> fn) {
-      r[key] = Param{false, [key, fn](S& s, const std::string& v) {
-                       fn(s, parse_double(key, v));
-                     }};
-    };
-    auto cnt = [&r](const std::string& key, std::function<void(S&, std::uint64_t)> fn) {
-      r[key] = Param{false, [key, fn](S& s, const std::string& v) {
-                       fn(s, parse_count(key, v));
-                     }};
-    };
-    auto cat = [&r](const std::string& key,
-                    std::function<void(S&, const std::string&)> fn) {
-      r[key] = Param{true, std::move(fn)};
-    };
+template <typename Get>
+using MemberOf = std::remove_reference_t<std::invoke_result_t<Get, S&>>;
 
-    // -- general ------------------------------------------------------
-    cat("name", [](S& s, const std::string& v) { s.name = v; });
-    cat("description", [](S& s, const std::string& v) { s.description = v; });
-    // Seeds use the full uint64 range; routing through double would
-    // round above 2^53 and overflow casting near 2^64.
-    r["seed"] = Param{false, [](S& s, const std::string& v) {
-                        char* end = nullptr;
-                        errno = 0;
-                        const unsigned long long parsed =
-                            std::strtoull(v.c_str(), &end, 10);
-                        if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
-                            v.find('-') != std::string::npos) {
-                          throw std::invalid_argument(
-                              "scenario: parameter 'seed' expects an unsigned "
-                              "integer, got '" + v + "'");
-                        }
-                        s.seed = static_cast<std::uint64_t>(parsed);
-                      }};
-    cat("topology", [](S& s, const std::string& v) {
-      if (v == "point-to-point" || v == "p2p") s.topology = Topology::kPointToPoint;
-      else if (v == "wdm") s.topology = Topology::kWdm;
-      else if (v == "vertical-bus" || v == "bus") s.topology = Topology::kVerticalBus;
-      else if (v == "stack-noc" || v == "noc") s.topology = Topology::kStackNoc;
-      else bad_choice("topology", v, "point-to-point, wdm, vertical-bus, stack-noc");
-    });
-    cat("mode", [](S& s, const std::string& v) {
-      if (v == "auto") s.mode = TrafficMode::kAuto;
-      else if (v == "symbols") s.mode = TrafficMode::kSymbols;
-      else if (v == "frames") s.mode = TrafficMode::kFrames;
-      else if (v == "code-density") s.mode = TrafficMode::kCodeDensity;
-      else if (v == "packets") s.mode = TrafficMode::kPackets;
-      else bad_choice("mode", v, "auto, symbols, frames, code-density, packets");
-    });
-    cat("fec", [](S& s, const std::string& v) {
-      if (v == "none") s.fec = FecKind::kNone;
-      else if (v == "hamming") s.fec = FecKind::kHamming;
-      else bad_choice("fec", v, "none, hamming");
-    });
-    cnt("payload_bytes", [](S& s, std::uint64_t v) {
-      s.payload_bytes = static_cast<std::size_t>(v);
-      s.noc.payload_bytes = static_cast<std::size_t>(v);
-    });
+template <typename T>
+void write_value(void* at, std::string_view key, const std::string& value) {
+  T& f = *static_cast<T*>(at);
+  if constexpr (std::is_same_v<T, std::string>) {
+    f = value;
+  } else if constexpr (std::is_same_v<T, double>) {
+    f = parse_real(key, value);
+  } else {
+    f = parse_count<T>(key, value);
+  }
+}
 
-    // -- budget -------------------------------------------------------
-    cnt("samples", [](S& s, std::uint64_t v) { s.budget.samples = v; });
-    cnt("sample_floor", [](S& s, std::uint64_t v) { s.budget.floor = v; });
-    cnt("repro_scaled", [](S& s, std::uint64_t v) { s.budget.repro_scaled = v != 0; });
+template <typename U, U (*Make)(double)>
+void write_unit(void* at, std::string_view key, const std::string& value) {
+  *static_cast<U*>(at) = Make(parse_real(key, value));
+}
 
-    // -- adaptive precision ------------------------------------------
+template <const auto& Labels>
+void write_label(void* at, std::string_view, const std::string& value) {
+  using L = std::remove_cvref_t<decltype(Labels[0])>;
+  if constexpr (std::is_same_v<L, std::string_view>) {
+    *static_cast<std::string*>(at) = value;
+  } else {
+    for (const L& l : Labels) {
+      if (l.name == value) {
+        *static_cast<decltype(l.value)*>(at) = l.value;
+        return;
+      }
+    }
+  }
+}
+
+/// A Param that writes the member `Get` returns.
+template <typename Get>
+Param param_at(Get) {
+  Param p;
+  p.at = [](S& s) -> void* { return &Get{}(s); };
+  return p;
+}
+
+/// A member parsed by its C++ type: double is a real number, bool a
+/// flag, an unsigned integer a count bounded by the member's width, a
+/// std::string free text.
+template <typename Get>
+Entry field(std::string_view key, Get get, Then then = nullptr) {
+  using T = MemberOf<Get>;
+  Param p = param_at(get);
+  if constexpr (std::is_same_v<T, std::string>) {
+    p.kind = ParamKind::kText;
+  } else if constexpr (!std::is_same_v<T, double>) {
+    static_assert(std::is_unsigned_v<T>, "registry fields are double, unsigned, bool or string");
+    p.kind = std::is_same_v<T, bool> ? ParamKind::kFlag : ParamKind::kCount;
+    p.max = std::numeric_limits<T>::max();
+  }
+  p.write = &write_value<T>;
+  p.then = then;
+  return {key, std::move(p)};
+}
+
+/// A unit-typed member: the real value goes through its unit factory.
+template <typename U, U (*Make)(double), typename Get>
+Entry unit(std::string_view key, Get get, Then then = nullptr) {
+  static_assert(std::is_same_v<U, MemberOf<Get>>);
+  Param p = param_at(get);
+  p.write = &write_unit<U, Make>;
+  p.then = then;
+  return {key, std::move(p)};
+}
+
+/// A categorical member: an enum set through its label list, or a
+/// string (the MAC) that holds the label itself.
+template <const auto& Labels, typename Get>
+Entry choice(std::string_view key, Get get) {
+  Param p = param_at(get);
+  p.kind = ParamKind::kLabel;
+  for (const auto& l : Labels) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(l)>, std::string_view>) {
+      p.labels.push_back(l);
+    } else {
+      p.labels.push_back(l.name);
+    }
+  }
+  p.write = &write_label<Labels>;
+  return {key, std::move(p)};
+}
+
+/// A categorical key that writes more than one member: `write` gets the
+/// whole spec.
+Entry custom(std::string_view key, std::vector<std::string_view> labels,
+             void (*write)(void* spec, std::string_view key, const std::string& value)) {
+  Param p;
+  p.kind = ParamKind::kLabel;
+  p.labels = std::move(labels);
+  p.at = [](S& s) -> void* { return &s; };
+  p.write = write;
+  return {key, std::move(p)};
+}
+
+// FIELD(noc.dies) is the accessor of the spec member s.noc.dies.
+#define FIELD(path) [](S& s) -> auto& { return s.path; }
+
+const std::map<std::string_view, Param, std::less<>>& registry() {
+  static const std::map<std::string_view, Param, std::less<>> params = [] {
     // Setting any precision target arms adaptive mode; precision.enabled
     // can switch it back off (order matters -- put it last in a file).
-    num("precision.half_width", [](S& s, double v) {
-      s.precision.target_half_width = v;
-      s.precision.enabled = true;
-    });
-    num("precision.relative", [](S& s, double v) {
-      s.precision.target_relative = v;
-      s.precision.enabled = true;
-    });
-    num("precision.stop_below", [](S& s, double v) {
-      s.precision.stop_below = v;
-      s.precision.enabled = true;
-    });
-    cat("precision.metric", [](S& s, const std::string& v) { s.precision.metric = v; });
-    num("precision.confidence_z", [](S& s, double v) { s.precision.confidence_z = v; });
-    cnt("precision.chunk", [](S& s, std::uint64_t v) { s.precision.chunk = v; });
-    cnt("precision.min_samples", [](S& s, std::uint64_t v) { s.precision.min_samples = v; });
-    cnt("precision.max_samples", [](S& s, std::uint64_t v) { s.precision.max_samples = v; });
-    cnt("precision.enabled", [](S& s, std::uint64_t v) { s.precision.enabled = v != 0; });
+    constexpr Then arm = [](S& s) { s.precision.enabled = true; };
+    std::vector<std::string_view> nodes;
+    for (const electrical::TechnologyNode& n : electrical::technology_ladder()) {
+      nodes.push_back(n.name);
+    }
+    std::vector<std::string_view> kinds;
+    for (const rare::Kind k : {rare::Kind::kNone, rare::Kind::kTilt, rare::Kind::kSplit}) {
+      kinds.push_back(rare::to_string(k));
+    }
+    return std::map<std::string_view, Param, std::less<>>{
+        // -- general ----------------------------------------------------
+        field("name", FIELD(name)),
+        field("description", FIELD(description)),
+        field("seed", FIELD(seed)),
+        choice<kTopologies>("topology", FIELD(topology)),
+        choice<kModes>("mode", FIELD(mode)),
+        choice<kFecs>("fec", FIELD(fec)),
+        field("payload_bytes", FIELD(payload_bytes),
+              [](S& s) { s.noc.payload_bytes = s.payload_bytes; }),
 
-    // -- device: TDC design ------------------------------------------
-    cnt("fine_elements", [](S& s, std::uint64_t v) { s.device.design.fine_elements = v; });
-    cnt("coarse_bits", [](S& s, std::uint64_t v) {
-      s.device.design.coarse_bits = static_cast<unsigned>(v);
-    });
-    num("delay_element_ps", [](S& s, double v) {
-      s.device.design.element_delay = Time::picoseconds(v);
-      s.device.delay_line.nominal_delay = Time::picoseconds(v);
-    });
-    cnt("delay_line_elements", [](S& s, std::uint64_t v) {
-      s.device.delay_line.elements = static_cast<std::size_t>(v);
-    });
-    num("mismatch_sigma", [](S& s, double v) { s.device.delay_line.mismatch_sigma = v; });
-    cat("tech_node", [](S& s, const std::string& v) {
-      const auto& node = electrical::node_by_name(v);  // throws on unknown name
-      s.device.design.element_delay = node.delay_element;
-      s.device.delay_line.nominal_delay = node.delay_element;
-      s.device.delay_line.mismatch_sigma = node.mismatch_sigma;
-      s.device.led.driver_load = node.led_driver_load;
-      s.device.led.supply = node.supply;
-    });
+        // -- budget -----------------------------------------------------
+        field("samples", FIELD(budget.samples)),
+        field("sample_floor", FIELD(budget.floor)),
+        field("repro_scaled", FIELD(budget.repro_scaled)),
 
-    // -- device: modulation / traffic --------------------------------
-    cnt("bits_per_symbol", [](S& s, std::uint64_t v) {
-      s.device.bits_per_symbol = static_cast<unsigned>(v);
-    });
-    cat("labeling", [](S& s, const std::string& v) {
-      if (v == "gray") s.device.labeling = modulation::SlotLabeling::kGray;
-      else if (v == "binary") s.device.labeling = modulation::SlotLabeling::kBinary;
-      else bad_choice("labeling", v, "gray, binary");
-    });
+        // -- adaptive precision ------------------------------------------
+        field("precision.half_width", FIELD(precision.target_half_width), arm),
+        field("precision.relative", FIELD(precision.target_relative), arm),
+        field("precision.stop_below", FIELD(precision.stop_below), arm),
+        field("precision.metric", FIELD(precision.metric)),
+        field("precision.confidence_z", FIELD(precision.confidence_z)),
+        field("precision.chunk", FIELD(precision.chunk)),
+        field("precision.min_samples", FIELD(precision.min_samples)),
+        field("precision.max_samples", FIELD(precision.max_samples)),
+        field("precision.enabled", FIELD(precision.enabled)),
 
-    // -- device: LED / channel / SPAD --------------------------------
-    num("peak_power_uw", [](S& s, double v) { s.device.led.peak_power = Power::microwatts(v); });
-    num("pulse_width_ps", [](S& s, double v) { s.device.led.pulse_width = Time::picoseconds(v); });
-    num("wavelength_nm", [](S& s, double v) {
-      s.device.led.wavelength = Wavelength::nanometres(v);
-    });
-    num("channel_transmittance", [](S& s, double v) { s.device.channel_transmittance = v; });
-    num("background_mhz", [](S& s, double v) {
-      s.device.background_rate = Frequency::megahertz(v);
-    });
-    num("jitter_ps", [](S& s, double v) { s.device.spad.jitter_sigma = Time::picoseconds(v); });
-    num("dcr_hz", [](S& s, double v) { s.device.spad.dcr_at_ref = Frequency::hertz(v); });
-    num("dead_time_ns", [](S& s, double v) { s.device.spad.dead_time = Time::nanoseconds(v); });
-    num("afterpulse_probability", [](S& s, double v) {
-      s.device.spad.afterpulse_probability = v;
-    });
-    num("pdp_peak", [](S& s, double v) { s.device.spad.pdp_peak = v; });
-    cnt("calibrate", [](S& s, std::uint64_t v) { s.device.calibrate = v != 0; });
-    cnt("calibration_samples", [](S& s, std::uint64_t v) { s.device.calibration_samples = v; });
-    num("guard_ns", [](S& s, double v) { s.device.inter_symbol_guard = Time::nanoseconds(v); });
+        // -- device: TDC design ------------------------------------------
+        field("fine_elements", FIELD(device.design.fine_elements)),
+        field("coarse_bits", FIELD(device.design.coarse_bits)),
+        unit<Time, &Time::picoseconds>(
+            "delay_element_ps", FIELD(device.design.element_delay),
+            [](S& s) { s.device.delay_line.nominal_delay = s.device.design.element_delay; }),
+        field("delay_line_elements", FIELD(device.delay_line.elements)),
+        field("mismatch_sigma", FIELD(device.delay_line.mismatch_sigma)),
+        custom("tech_node", std::move(nodes),
+               [](void* spec, std::string_view, const std::string& v) {
+                 S& s = *static_cast<S*>(spec);
+                 const auto& node = electrical::node_by_name(v);
+                 s.device.design.element_delay = node.delay_element;
+                 s.device.delay_line.nominal_delay = node.delay_element;
+                 s.device.delay_line.mismatch_sigma = node.mismatch_sigma;
+                 s.device.led.driver_load = node.led_driver_load;
+                 s.device.led.supply = node.supply;
+               }),
 
-    // -- WDM ----------------------------------------------------------
-    cnt("channels", [](S& s, std::uint64_t v) {
-      s.wdm.grid.channels = static_cast<std::size_t>(v);
-    });
-    num("grid_center_nm", [](S& s, double v) { s.wdm.grid.center = Wavelength::nanometres(v); });
-    num("grid_spacing_nm", [](S& s, double v) { s.wdm.grid.spacing = Wavelength::nanometres(v); });
-    num("isolation_db", [](S& s, double v) {
-      // The demux spec knob the abl_wdm sweep turns: the floor tracks
-      // the adjacent isolation (scattering bounds it ~20 dB deeper,
-      // never better than 45 dB).
-      s.wdm.filter.adjacent_isolation_db = v;
-      s.wdm.filter.isolation_floor_db = std::max(v + 20.0, 45.0);
-    });
-    num("isolation_floor_db", [](S& s, double v) { s.wdm.filter.isolation_floor_db = v; });
-    num("passband_transmittance", [](S& s, double v) {
-      s.wdm.filter.passband_transmittance = v;
-    });
-    num("path_transmittance", [](S& s, double v) { s.wdm.path_transmittance = v; });
-    cnt("stack_dies", [](S& s, std::uint64_t v) {
-      s.wdm.stack_dies = static_cast<std::size_t>(v);
-    });
-    cnt("from_die", [](S& s, std::uint64_t v) { s.wdm.from_die = static_cast<std::size_t>(v); });
-    cnt("to_die", [](S& s, std::uint64_t v) { s.wdm.to_die = static_cast<std::size_t>(v); });
+        // -- device: modulation / traffic --------------------------------
+        field("bits_per_symbol", FIELD(device.bits_per_symbol)),
+        choice<kLabelings>("labeling", FIELD(device.labeling)),
 
-    // -- bus / NoC ----------------------------------------------------
-    cnt("dies", [](S& s, std::uint64_t v) {
-      s.bus.dies = static_cast<std::size_t>(v);
-      s.noc.dies = static_cast<std::size_t>(v);
-    });
-    cnt("master", [](S& s, std::uint64_t v) { s.bus.master = static_cast<std::size_t>(v); });
-    cat("mac", [](S& s, const std::string& v) {
-      if (v != "tdma" && v != "token" && v != "token+pass" && v != "aloha" && v != "cac") {
-        bad_choice("mac", v, "tdma, token, token+pass, aloha, cac");
-      }
-      s.noc.mac = v;
-    });
-    cat("pattern", [](S& s, const std::string& v) {
-      if (v == "uniform") s.noc.pattern = NocPattern::kUniform;
-      else if (v == "hotspot") s.noc.pattern = NocPattern::kHotspot;
-      else if (v == "master-broadcast") s.noc.pattern = NocPattern::kMasterBroadcast;
-      else if (v == "incast") s.noc.pattern = NocPattern::kIncast;
-      else if (v == "broadcast-storm") s.noc.pattern = NocPattern::kBroadcastStorm;
-      else bad_choice("pattern", v,
-                      "uniform, hotspot, master-broadcast, incast, broadcast-storm");
-    });
-    cnt("alloc.weight", [](S& s, std::uint64_t v) {
-      s.noc.alloc_weight = static_cast<std::size_t>(v);
-    });
-    cnt("alloc.wavelengths", [](S& s, std::uint64_t v) {
-      s.noc.alloc_wavelengths = static_cast<std::size_t>(v);
-    });
-    cnt("alloc.frame", [](S& s, std::uint64_t v) { s.noc.alloc_frame = v; });
-    cnt("alloc.rounds", [](S& s, std::uint64_t v) {
-      s.noc.alloc_rounds = static_cast<unsigned>(v);
-    });
-    num("offered_load", [](S& s, double v) { s.noc.offered_load = v; });
-    cnt("hot_die", [](S& s, std::uint64_t v) { s.noc.hot_die = static_cast<std::size_t>(v); });
-    num("hot_load", [](S& s, double v) { s.noc.hot_load = v; });
-    num("master_load", [](S& s, double v) { s.noc.master_load = v; });
-    num("worker_load", [](S& s, double v) { s.noc.worker_load = v; });
-    cnt("queue_capacity", [](S& s, std::uint64_t v) {
-      s.noc.queue_capacity = static_cast<std::size_t>(v);
-    });
-    cnt("max_attempts", [](S& s, std::uint64_t v) {
-      s.noc.max_attempts = static_cast<unsigned>(v);
-    });
-    cat("delivery", [](S& s, const std::string& v) {
-      if (v == "scalar") s.noc.delivery = NocDelivery::kScalar;
-      else if (v == "fec-probe") s.noc.delivery = NocDelivery::kFecProbe;
-      else if (v == "engine") s.noc.delivery = NocDelivery::kEngine;
-      else bad_choice("delivery", v, "scalar, fec-probe, engine");
-    });
-    num("delivery_probability", [](S& s, double v) { s.noc.delivery_probability = v; });
-    cnt("probe_transfers", [](S& s, std::uint64_t v) { s.noc.probe_transfers = v; });
+        // -- device: LED / channel / SPAD --------------------------------
+        unit<Power, &Power::microwatts>("peak_power_uw", FIELD(device.led.peak_power)),
+        unit<Time, &Time::picoseconds>("pulse_width_ps", FIELD(device.led.pulse_width)),
+        unit<Wavelength, &Wavelength::nanometres>("wavelength_nm", FIELD(device.led.wavelength)),
+        field("channel_transmittance", FIELD(device.channel_transmittance)),
+        unit<Frequency, &Frequency::megahertz>("background_mhz", FIELD(device.background_rate)),
+        unit<Time, &Time::picoseconds>("jitter_ps", FIELD(device.spad.jitter_sigma)),
+        unit<Frequency, &Frequency::hertz>("dcr_hz", FIELD(device.spad.dcr_at_ref)),
+        unit<Time, &Time::nanoseconds>("dead_time_ns", FIELD(device.spad.dead_time)),
+        field("afterpulse_probability", FIELD(device.spad.afterpulse_probability)),
+        field("pdp_peak", FIELD(device.spad.pdp_peak)),
+        field("calibrate", FIELD(device.calibrate)),
+        field("calibration_samples", FIELD(device.calibration_samples)),
+        unit<Time, &Time::nanoseconds>("guard_ns", FIELD(device.inter_symbol_guard)),
 
-    // -- fault injection ---------------------------------------------
-    num("fault.dead_pixel_fraction", [](S& s, double v) {
-      s.fault.dead_pixel_fraction = v;
-    });
-    num("fault.hot_pixel_fraction", [](S& s, double v) { s.fault.hot_pixel_fraction = v; });
-    num("fault.hot_pixel_dcr_hz", [](S& s, double v) { s.fault.hot_pixel_dcr_hz = v; });
-    cnt("fault.array_pixels", [](S& s, std::uint64_t v) { s.fault.array_pixels = v; });
-    cnt("fault.mask_hot_pixels", [](S& s, std::uint64_t v) {
-      s.fault.mask_hot_pixels = v != 0;
-    });
-    num("fault.dark_window_probability", [](S& s, double v) {
-      s.fault.dark_window_probability = v;
-    });
-    num("fault.flaky_window_probability", [](S& s, double v) {
-      s.fault.flaky_window_probability = v;
-    });
-    num("fault.flaky_attenuation_db", [](S& s, double v) {
-      s.fault.flaky_attenuation_db = v;
-    });
-    num("fault.tdc_drift_c", [](S& s, double v) { s.fault.tdc_drift_c = v; });
-    cnt("fault.recalibrate", [](S& s, std::uint64_t v) { s.fault.recalibrate = v != 0; });
-    num("fault.dead_channel_fraction", [](S& s, double v) {
-      s.fault.dead_channel_fraction = v;
-    });
-    num("fault.channel_attenuation_db", [](S& s, double v) {
-      s.fault.channel_attenuation_db = v;
-    });
-    num("fault.dead_node_fraction", [](S& s, double v) { s.fault.dead_node_fraction = v; });
-    num("fault.link_failure_probability", [](S& s, double v) {
-      s.fault.link_failure_probability = v;
-    });
-    cnt("fault.reroute", [](S& s, std::uint64_t v) { s.fault.reroute = v != 0; });
-    cnt("fault.mac_reclaim", [](S& s, std::uint64_t v) { s.fault.mac_reclaim = v != 0; });
-    cnt("fault.salt", [](S& s, std::uint64_t v) { s.fault.salt = v; });
+        // -- WDM ---------------------------------------------------------
+        field("channels", FIELD(wdm.grid.channels)),
+        unit<Wavelength, &Wavelength::nanometres>("grid_center_nm", FIELD(wdm.grid.center)),
+        unit<Wavelength, &Wavelength::nanometres>("grid_spacing_nm", FIELD(wdm.grid.spacing)),
+        // The demux spec knob the abl_wdm sweep turns: the floor tracks
+        // the adjacent isolation (scattering bounds it ~20 dB deeper,
+        // never better than 45 dB).
+        field("isolation_db", FIELD(wdm.filter.adjacent_isolation_db),
+              [](S& s) {
+                s.wdm.filter.isolation_floor_db =
+                    std::max(s.wdm.filter.adjacent_isolation_db + 20.0, 45.0);
+              }),
+        field("isolation_floor_db", FIELD(wdm.filter.isolation_floor_db)),
+        field("passband_transmittance", FIELD(wdm.filter.passband_transmittance)),
+        field("path_transmittance", FIELD(wdm.path_transmittance)),
+        field("stack_dies", FIELD(wdm.stack_dies)),
+        field("from_die", FIELD(wdm.from_die)),
+        field("to_die", FIELD(wdm.to_die)),
 
-    // -- rare-event acceleration -------------------------------------
-    cat("variance.kind", [](S& s, const std::string& v) {
-      try {
-        s.variance.kind = rare::kind_from_string(v);
-      } catch (const std::invalid_argument&) {
-        bad_choice("variance.kind", v, "none, tilt, split");
-      }
-    });
-    num("variance.jitter_tilt", [](S& s, double v) { s.variance.jitter_tilt = v; });
-    num("variance.noise_tilt", [](S& s, double v) { s.variance.noise_tilt = v; });
-    cat("variance.levels", [](S& s, const std::string& v) {
-      // Syntax check at set time so a typo'd schedule fails with the
-      // spec file:line; validate() re-checks semantics (monotonicity
-      // against the kind).
-      (void)rare::parse_levels(v);
-      s.variance.levels = v;
-    });
-    cnt("variance.split_levels", [](S& s, std::uint64_t v) {
-      s.variance.split_levels = static_cast<std::uint32_t>(v);
-    });
+        // -- bus / NoC ---------------------------------------------------
+        field("dies", FIELD(bus.dies), [](S& s) { s.noc.dies = s.bus.dies; }),
+        field("master", FIELD(bus.master)),
+        choice<kMacs>("mac", FIELD(noc.mac)),
+        choice<kPatterns>("pattern", FIELD(noc.pattern)),
+        field("alloc.weight", FIELD(noc.alloc_weight)),
+        field("alloc.wavelengths", FIELD(noc.alloc_wavelengths)),
+        field("alloc.frame", FIELD(noc.alloc_frame)),
+        field("alloc.rounds", FIELD(noc.alloc_rounds)),
+        field("offered_load", FIELD(noc.offered_load)),
+        field("hot_die", FIELD(noc.hot_die)),
+        field("hot_load", FIELD(noc.hot_load)),
+        field("master_load", FIELD(noc.master_load)),
+        field("worker_load", FIELD(noc.worker_load)),
+        field("queue_capacity", FIELD(noc.queue_capacity)),
+        field("max_attempts", FIELD(noc.max_attempts)),
+        choice<kDeliveries>("delivery", FIELD(noc.delivery)),
+        field("delivery_probability", FIELD(noc.delivery_probability)),
+        field("probe_transfers", FIELD(noc.probe_transfers)),
 
-    return r;
+        // -- fault injection ---------------------------------------------
+        field("fault.dead_pixel_fraction", FIELD(fault.dead_pixel_fraction)),
+        field("fault.hot_pixel_fraction", FIELD(fault.hot_pixel_fraction)),
+        field("fault.hot_pixel_dcr_hz", FIELD(fault.hot_pixel_dcr_hz)),
+        field("fault.array_pixels", FIELD(fault.array_pixels)),
+        field("fault.mask_hot_pixels", FIELD(fault.mask_hot_pixels)),
+        field("fault.dark_window_probability", FIELD(fault.dark_window_probability)),
+        field("fault.flaky_window_probability", FIELD(fault.flaky_window_probability)),
+        field("fault.flaky_attenuation_db", FIELD(fault.flaky_attenuation_db)),
+        field("fault.tdc_drift_c", FIELD(fault.tdc_drift_c)),
+        field("fault.recalibrate", FIELD(fault.recalibrate)),
+        field("fault.dead_channel_fraction", FIELD(fault.dead_channel_fraction)),
+        field("fault.channel_attenuation_db", FIELD(fault.channel_attenuation_db)),
+        field("fault.dead_node_fraction", FIELD(fault.dead_node_fraction)),
+        field("fault.link_failure_probability", FIELD(fault.link_failure_probability)),
+        field("fault.reroute", FIELD(fault.reroute)),
+        field("fault.mac_reclaim", FIELD(fault.mac_reclaim)),
+        field("fault.salt", FIELD(fault.salt)),
+
+        // -- rare-event acceleration -------------------------------------
+        custom("variance.kind", std::move(kinds),
+               [](void* spec, std::string_view, const std::string& v) {
+                 static_cast<S*>(spec)->variance.kind = rare::kind_from_string(v);
+               }),
+        field("variance.jitter_tilt", FIELD(variance.jitter_tilt)),
+        field("variance.noise_tilt", FIELD(variance.noise_tilt)),
+        // Syntax check at set time so a typo'd schedule fails with the
+        // spec file:line; validate() re-checks semantics (monotonicity
+        // against the kind).
+        field("variance.levels", FIELD(variance.levels),
+              [](S& s) { (void)rare::parse_levels(s.variance.levels); }),
+        field("variance.split_levels", FIELD(variance.split_levels)),
+    };
   }();
   return params;
+}
+
+#undef FIELD
+
+const Param& lookup(const std::string& key) {
+  const auto it = registry().find(key);
+  if (it == registry().end()) {
+    std::string msg = "scenario: unknown parameter '" + key + "'; known parameters:";
+    for (const std::string& k : known_params()) msg += " " + k;
+    throw std::invalid_argument(msg);
+  }
+  return it->second;
 }
 
 }  // namespace
@@ -747,26 +789,52 @@ void ScenarioSpec::validate() const {
 }
 
 void set_param(ScenarioSpec& spec, const std::string& key, const std::string& value) {
-  const auto it = registry().find(key);
-  if (it == registry().end()) {
-    std::string msg = "scenario: unknown parameter '" + key + "'; known parameters:";
-    for (const std::string& k : known_params()) msg += " " + k;
-    throw std::invalid_argument(msg);
+  const Param& p = lookup(key);
+  if (p.kind == ParamKind::kLabel &&
+      std::find(p.labels.begin(), p.labels.end(), value) == p.labels.end()) {
+    std::string choices;
+    for (const std::string_view l : p.labels) {
+      choices += (choices.empty() ? "" : ", ") + std::string(l);
+    }
+    reject(key, "must be one of {" + choices + "}", value);
   }
-  it->second.apply(spec, value);
+  p.write(p.at(spec), key, value);
+  if (p.then != nullptr) p.then(spec);
+}
+
+const ParamInfo& param_info(const std::string& key) { return lookup(key); }
+
+std::optional<std::uint64_t> parse_uint64(const std::string& text) {
+  // A plain digit token is read exactly (a 64-bit seed is exact where a
+  // double is not); any other token must be a whole double in [0, 2^64).
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  if (text.find_first_not_of("0123456789") == std::string::npos) {
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (errno == 0) return v;
+  } else {
+    const double v = std::strtod(text.c_str(), &end);
+    if (errno == 0 && end == text.c_str() + text.size() && v >= 0.0 && v == std::floor(v) &&
+        v < 18446744073709551616.0) {
+      return static_cast<std::uint64_t>(v);
+    }
+  }
+  return std::nullopt;
 }
 
 bool is_known_param(const std::string& key) { return registry().count(key) != 0; }
 
 bool is_categorical_param(const std::string& key) {
   const auto it = registry().find(key);
-  return it != registry().end() && it->second.categorical;
+  return it != registry().end() &&
+         (it->second.kind == ParamKind::kLabel || it->second.kind == ParamKind::kText);
 }
 
 std::vector<std::string> known_params() {
   std::vector<std::string> keys;
   keys.reserve(registry().size());
-  for (const auto& [k, v] : registry()) keys.push_back(k);
+  for (const auto& [k, v] : registry()) keys.emplace_back(k);
   return keys;
 }
 
@@ -782,33 +850,8 @@ void apply_axis_value(ScenarioSpec& spec, const SweepAxis& axis, std::size_t ind
   set_param(spec, axis.param, os.str());
 }
 
-const char* to_string(Topology t) {
-  switch (t) {
-    case Topology::kPointToPoint: return "point-to-point";
-    case Topology::kWdm: return "wdm";
-    case Topology::kVerticalBus: return "vertical-bus";
-    case Topology::kStackNoc: return "stack-noc";
-  }
-  return "?";
-}
-
-const char* to_string(TrafficMode m) {
-  switch (m) {
-    case TrafficMode::kAuto: return "auto";
-    case TrafficMode::kSymbols: return "symbols";
-    case TrafficMode::kFrames: return "frames";
-    case TrafficMode::kCodeDensity: return "code-density";
-    case TrafficMode::kPackets: return "packets";
-  }
-  return "?";
-}
-
-const char* to_string(FecKind f) {
-  switch (f) {
-    case FecKind::kNone: return "none";
-    case FecKind::kHamming: return "hamming";
-  }
-  return "?";
-}
+const char* to_string(Topology t) { return canonical(kTopologies, t); }
+const char* to_string(TrafficMode m) { return canonical(kModes, m); }
+const char* to_string(FecKind f) { return canonical(kFecs, f); }
 
 }  // namespace oci::scenario

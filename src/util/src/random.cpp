@@ -37,7 +37,10 @@ std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
 
 double RngStream::normal(double mean, double sigma) {
   ++draws_;
-  return std::normal_distribution<double>(mean, sigma)(engine_);
+  // mean + sigma * N(0, 1) is what libstdc++ evaluates for
+  // normal_distribution(mean, sigma), so the bits match; unlike the
+  // distribution it also holds for sigma == 0 (its precondition is > 0).
+  return std::normal_distribution<double>{}(engine_) * sigma + mean;
 }
 
 double RngStream::exponential_mean(double mean) {

@@ -4,9 +4,11 @@
 // run round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "oci/scenario/parse.hpp"
@@ -113,23 +115,69 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
 }
 
 TEST(ScenarioParse, RejectsCountsPastTheUint64Range) {
-  // A count at or past 2^64 has no uint64 value: it must fail with the
-  // key named, never wrap to 0 (0 means "auto" for several keys).
+  // A value its field cannot hold must fail with the key named, never
+  // wrap (0 means "auto" for several keys) or silently read as another
+  // value. Returns the error message.
+  const auto rejected = [](const std::string& key, const std::string& value) {
+    const std::string text = key + " = " + value + "\n";
+    try {
+      (void)parse_spec_text(text, "big.spec");
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "expected a range error for: " << text;
+    return std::string();
+  };
   for (const auto& [key, value] :
        {std::pair{"samples", "1e30"}, std::pair{"samples", "18446744073709551616"},
         std::pair{"fault.salt", "1e20"}, std::pair{"precision.max_samples", "1e20"},
-        std::pair{"precision.max_samples", "inf"}}) {
-    const std::string text = std::string(key) + " = " + value + "\n";
-    try {
-      (void)parse_spec_text(text, "big.spec");
-      FAIL() << "expected a range error for: " << text;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + std::string(key) + "'"), std::string::npos)
-          << e.what();
+        std::pair{"precision.max_samples", "inf"}, std::pair{"seed", "-1"},
+        std::pair{"dies", "2.5"}, std::pair{"calibrate", "0.5"}}) {
+    (void)rejected(key, value);
+  }
+  // Every key of the table, by the type of its field: a count rejects
+  // one past its width and loads the width's maximum exactly, a flag
+  // rejects 2, and a label key rejects `bogus` listing every label.
+  std::size_t counts = 0;
+  std::size_t flags = 0;
+  std::size_t closed = 0;
+  for (const std::string& key : scenario::known_params()) {
+    const scenario::ParamInfo& info = scenario::param_info(key);
+    switch (info.kind) {
+      case scenario::ParamKind::kCount: {
+        ++counts;
+        (void)rejected(key, info.max == UINT64_MAX ? "18446744073709551616"
+                                                   : std::to_string(info.max + 1));
+        EXPECT_NO_THROW((void)parse_spec_text(key + " = " + std::to_string(info.max) + "\n"))
+            << key;
+        break;
+      }
+      case scenario::ParamKind::kFlag:
+        ++flags;
+        (void)rejected(key, "2");
+        break;
+      case scenario::ParamKind::kLabel: {
+        ++closed;
+        const std::string msg = rejected(key, "bogus");
+        for (const std::string_view label : info.labels) {
+          EXPECT_NE(msg.find(std::string(label)), std::string::npos) << key << ": " << msg;
+        }
+        break;
+      }
+      case scenario::ParamKind::kReal:
+      case scenario::ParamKind::kText:
+        break;
     }
   }
-  // The largest double below 2^64 still loads exactly.
-  EXPECT_EQ(parse_spec_text("fault.salt = 18446744073709549568\n").fault.salt,
+  EXPECT_GE(counts, 29u);
+  EXPECT_GE(flags, 7u);
+  EXPECT_GE(closed, 9u);
+  // The largest uint64 loads exactly, as a digit token; a whole double
+  // token (the largest below 2^64 here) loads exactly too.
+  EXPECT_EQ(parse_spec_text("fault.salt = 18446744073709551615\n").fault.salt,
+            18446744073709551615ull);
+  EXPECT_EQ(parse_spec_text("fault.salt = 1.8446744073709549568e19\n").fault.salt,
             18446744073709549568ull);
 }
 

@@ -210,19 +210,10 @@ TEST(SpecHash, EveryRegistryKeyIsHashed) {
   // different experiments share a cache key. So for every registry key
   // (except seed, part of the store key, and description, prose) some
   // non-default value must change the hash. Numeric keys try 0, 1 and
-  // 3: at most one of them is the default, or two for a flag (any
-  // non-zero reads as on). Categorical keys try valid labels.
-  const std::map<std::string, std::vector<std::string>> labels = {
+  // 3 (at most one is the default), flags 0 and 1, label keys every
+  // label; free-text keys take the sample values below.
+  const std::map<std::string, std::vector<std::string>> text = {
       {"name", {"other"}},
-      {"topology", {"wdm", "stack-noc"}},
-      {"mode", {"frames", "packets"}},
-      {"fec", {"none", "hamming"}},
-      {"tech_node", {"250nm", "32nm"}},
-      {"labeling", {"binary", "gray"}},
-      {"mac", {"tdma", "cac"}},
-      {"pattern", {"uniform", "hotspot"}},
-      {"delivery", {"scalar", "engine"}},
-      {"variance.kind", {"none", "tilt"}},
       {"variance.levels", {"3:2:1"}},
       {"precision.metric", {"ser", "ber"}}};
   const ScenarioSpec base;
@@ -230,10 +221,15 @@ TEST(SpecHash, EveryRegistryKeyIsHashed) {
   std::size_t checked = 0;
   for (const std::string& key : scenario::known_params()) {
     if (key == "seed" || key == "description") continue;
+    const scenario::ParamInfo& info = scenario::param_info(key);
     std::vector<std::string> values{"0", "1", "3"};
-    if (scenario::is_categorical_param(key)) {
-      const auto it = labels.find(key);
-      ASSERT_NE(it, labels.end()) << "no test labels for categorical key '" << key << "'";
+    if (info.kind == scenario::ParamKind::kFlag) values = {"0", "1"};
+    if (info.kind == scenario::ParamKind::kLabel) {
+      values.assign(info.labels.begin(), info.labels.end());
+    }
+    if (info.kind == scenario::ParamKind::kText) {
+      const auto it = text.find(key);
+      ASSERT_NE(it, text.end()) << "no sample values for free-text key '" << key << "'";
       values = it->second;
     }
     bool changed = false;

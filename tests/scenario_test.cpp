@@ -795,6 +795,19 @@ TEST(ScenarioSeed, CliArgConsumedAndWins) {
   EXPECT_EQ(scenario::seed_override(), std::optional<std::uint64_t>(99u));
   scenario::set_seed_override(std::nullopt);
 
+  // A garbled explicit seed throws, naming the flag, instead of running
+  // the spec seed.
+  char g1[] = "--seed=12x";
+  char* argv_bad[] = {a0, g1, nullptr};
+  int argc_bad = 2;
+  try {
+    (void)scenario::consume_seed_arg(argc_bad, argv_bad);
+    FAIL() << "expected --seed=12x to throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(scenario::seed_override().has_value());
+
   // No flag, no env, no override: fallback.
   unsetenv("OCI_SEED");
   char* argv3[] = {a0, nullptr};

@@ -13,8 +13,9 @@ Two checks, both grep-grade by design (no markdown parser dependency):
    on intra-repo targets are stripped before the existence check.
 
 2. Every parameter key registered in src/scenario/src/spec.cpp — the
-   num("...")/cnt("...")/cat("...") helpers plus direct r["..."]
-   entries — must appear verbatim in docs/scenario-spec-reference.md.
+   field("...")/unit<F>("...")/choice<L>("...")/custom("...") entries
+   of the parameter table — must appear verbatim in
+   docs/scenario-spec-reference.md.
    A key you can set or sweep but cannot look up is a documentation
    bug; CI fails until the reference page names it.
 
@@ -26,7 +27,7 @@ import re
 import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-KEY_RE = re.compile(r'(?:\bnum|\bcnt|\bcat)\(\s*"([^"]+)"|r\["([^"]+)"\]')
+KEY_RE = re.compile(r'\b(?:field|unit|choice|custom)(?:<[^>]*>)?\(\s*"([^"]+)"')
 
 
 def doc_files(root):
@@ -69,12 +70,7 @@ def registry_keys(root):
     spec_cpp = os.path.join(root, "src", "scenario", "src", "spec.cpp")
     with open(spec_cpp, encoding="utf-8") as fh:
         text = fh.read()
-    keys = set()
-    for m in KEY_RE.finditer(text):
-        keys.add(m.group(1) or m.group(2))
-    # r["key"] matches registry *lookups* too; that is fine — a looked-up
-    # key is a registered key or the lookup throws at startup.
-    return keys
+    return set(KEY_RE.findall(text))
 
 
 def check_key_coverage(root):

@@ -93,10 +93,11 @@ int cmd_run(int argc, char** argv) {
   bool dump = false;
   scenario::ShardSpec shard;
   std::optional<std::string> cache_dir;
-  // Consumed first (and re-exported as their env vars) so the
-  // precedence matches the seed's: CLI beats env beats spec, applied
-  // inside ScenarioRunner::run.
+  // Consumed first (the seed as the in-process override, the rest
+  // re-exported as their env vars): CLI beats env beats spec, applied
+  // inside ScenarioRunner::run. A garbled value is bad usage.
   try {
+    (void)scenario::consume_seed_arg(argc, argv);
     scenario::consume_precision_args(argc, argv);
     if (const auto s = scenario::consume_shard_arg(argc, argv)) shard = *s;
     cache_dir = scenario::resolve_cache_dir(argc, argv);
@@ -105,7 +106,6 @@ int cmd_run(int argc, char** argv) {
     usage(std::cerr);
     return 1;
   }
-  // --seed= is consumed (and applied) by resolve_seed below.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -116,10 +116,6 @@ int cmd_run(int argc, char** argv) {
       dump = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      // handled later by resolve_seed
-    } else if (arg == "--seed") {
-      ++i;  // split form (--seed N); both handled later by resolve_seed
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "run_scenario: unknown option '" << arg << "'\n";
       usage(std::cerr);
@@ -148,7 +144,7 @@ int cmd_run(int argc, char** argv) {
 
   try {
     scenario::ScenarioSpec spec = scenario::parse_spec_file(spec_path);
-    spec.seed = scenario::resolve_seed(spec.seed, argc, argv);
+    spec.seed = scenario::resolve_seed(spec.seed);
     spec.validate();
 
     analysis::print_banner(std::cout, "scenario: " + spec.name,

@@ -1,6 +1,7 @@
-# Exit-code contract of run_scenario: a bare spec path is bad usage
-# (1), `run` on a malformed spec is a spec error (2), and `hash` on a
-# checked-in spec succeeds (0) and prints its 64-hex-digit content hash.
+# Exit-code contract of run_scenario: a bare spec path and a garbled
+# --seed are bad usage (1), `run` on a malformed spec is a spec error
+# (2), and `hash` on a checked-in spec succeeds (0) and prints its
+# 64-hex-digit content hash.
 #
 #   cmake -DTOOL=path/to/run_scenario -DSOURCE_DIR=repo -DWORK_DIR=dir \
 #         -P tools/run_scenario_cli_test.cmake
@@ -33,3 +34,6 @@ string(LENGTH "${digest}" digest_len)
 if(NOT digest_len EQUAL 64 OR NOT out MATCHES "^[0-9a-f]+  ")
   message(FATAL_ERROR "hash printed '${out}', expected 64 hex digits then the path")
 endif()
+
+# A garbled --seed is bad usage, not a silent fall-back to the spec seed.
+expect_exit(1 "${TOOL}" run --seed=12x "${spec}")
