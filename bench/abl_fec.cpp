@@ -10,10 +10,12 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <stdexcept>
 
 #include "oci/analysis/report.hpp"
 #include "oci/link/fec_link.hpp"
 #include "oci/link/optical_link.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/util/table.hpp"
 
@@ -39,11 +41,11 @@ link::OpticalLinkConfig jittery_config(double jitter_ps) {
   return c;
 }
 
-scenario::ScenarioSpec make_spec(std::uint64_t seed) {
+scenario::ScenarioSpec make_spec(const scenario::Overrides& overrides) {
   scenario::ScenarioSpec spec;
   spec.name = "fec_under_crc";
   spec.description = "frame delivery: CRC-only vs Hamming(8,4)+CRC vs SPAD jitter";
-  spec.seed = seed;
+  spec.seed = kSeed;
   spec.topology = scenario::Topology::kPointToPoint;
   spec.mode = scenario::TrafficMode::kFrames;
   spec.payload_bytes = 24;
@@ -63,16 +65,18 @@ scenario::ScenarioSpec make_spec(std::uint64_t seed) {
   spec.precision.chunk = 50;
   spec.precision.max_samples = 600;
   spec.precision.enabled = true;
+  overrides.apply(spec);
   return spec;
 }
 
-void print_reproduction(std::uint64_t seed) {
+void print_reproduction(const scenario::Overrides& overrides) {
+  const scenario::ScenarioSpec spec = make_spec(overrides);
   analysis::print_banner(std::cout, "Ablation 9: FEC under the CRC",
                          "frame delivery: CRC-only vs Hamming(8,4)+CRC vs SPAD "
                          "timing jitter",
-                         seed);
+                         spec.seed);
 
-  const scenario::RunReport report = scenario::ScenarioRunner().run(make_spec(seed));
+  const scenario::RunReport report = scenario::ScenarioRunner().run(spec);
 
   util::Table t({"jitter sigma [ps]", "CRC-only delivery", "FEC delivery",
                  "FEC corrections/transfer", "FEC net goodput factor"});
@@ -118,8 +122,16 @@ BENCHMARK(BM_FecTransfer);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = oci::scenario::resolve_seed(kSeed, argc, argv);
-  print_reproduction(seed);
+  oci::scenario::Overrides overrides;
+  try {
+    overrides = oci::scenario::read_overrides(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "abl_fec: " << e.what()
+              << "\nusage: abl_fec [--seed=N] [--precision=H] [--max-samples=N] "
+                 "[benchmark flags]\n";
+    return 1;
+  }
+  print_reproduction(overrides);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

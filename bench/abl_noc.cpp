@@ -30,12 +30,14 @@
 
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "oci/analysis/report.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/net/stack_network.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/sim/batch_runner.hpp"
 #include "oci/util/table.hpp"
@@ -51,14 +53,15 @@ using util::Time;
 constexpr std::uint64_t kSeed = 20080616;
 constexpr std::size_t kDies = 8;
 
-scenario::ScenarioSpec base_spec(std::uint64_t seed) {
+scenario::ScenarioSpec base_spec(const scenario::Overrides& overrides) {
   scenario::ScenarioSpec spec;
-  spec.seed = seed;
+  spec.seed = kSeed;
   spec.topology = scenario::Topology::kStackNoc;
   spec.noc.dies = kDies;
   spec.noc.queue_capacity = 512;
   spec.budget.samples = 60000;
   spec.budget.floor = 1000;
+  overrides.apply(spec);
   return spec;
 }
 
@@ -212,16 +215,17 @@ void cac_scale_table(const scenario::ScenarioRunner& runner, scenario::ScenarioS
          "to serialise arbitration at scale.\n\n";
 }
 
-void print_reproduction(std::uint64_t seed) {
+void print_reproduction(const scenario::Overrides& overrides) {
+  const scenario::ScenarioSpec base = base_spec(overrides);
   analysis::print_banner(std::cout, "Ablation 13: MAC on the optical stack bus",
                          "TDMA vs token vs slotted ALOHA at packet granularity, "
                          "coupled to the photon-level link",
-                         seed);
+                         base.seed);
   const scenario::ScenarioRunner runner;
-  saturation_table(runner, base_spec(seed));
-  hotspot_table(runner, base_spec(seed));
-  layer_coupling_table(runner, base_spec(seed));
-  cac_scale_table(runner, base_spec(seed));
+  saturation_table(runner, base);
+  hotspot_table(runner, base);
+  layer_coupling_table(runner, base);
+  cac_scale_table(runner, base);
 }
 
 StackNetworkConfig bm_traffic_config(double aggregate_load) {
@@ -274,8 +278,16 @@ BENCHMARK(BM_SaturationSweep);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = oci::scenario::resolve_seed(kSeed, argc, argv);
-  print_reproduction(seed);
+  oci::scenario::Overrides overrides;
+  try {
+    overrides = oci::scenario::read_overrides(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "abl_noc: " << e.what()
+              << "\nusage: abl_noc [--seed=N] [--precision=H] [--max-samples=N] "
+                 "[benchmark flags]\n";
+    return 1;
+  }
+  print_reproduction(overrides);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -13,10 +13,12 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <stdexcept>
 
 #include "oci/analysis/report.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/modulation/ook.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/util/table.hpp"
 
@@ -42,11 +44,11 @@ OpticalLinkConfig base_config() {
   return c;
 }
 
-scenario::ScenarioSpec make_spec(std::uint64_t seed) {
+scenario::ScenarioSpec make_spec(const scenario::Overrides& overrides) {
   scenario::ScenarioSpec spec;
   spec.name = "ppm_order";
   spec.description = "bits/symbol sweep on a fixed N=64, C=4 TDC, 40 ns SPAD";
-  spec.seed = seed;
+  spec.seed = kSeed;
   spec.topology = scenario::Topology::kPointToPoint;
   spec.device = base_config();
   spec.sweep = {scenario::SweepAxis::list(
@@ -62,13 +64,15 @@ scenario::ScenarioSpec make_spec(std::uint64_t seed) {
   spec.precision.chunk = 2500;
   spec.precision.max_samples = 40000;
   spec.precision.enabled = true;
+  overrides.apply(spec);
   return spec;
 }
 
-void print_reproduction(std::uint64_t seed) {
+void print_reproduction(const scenario::Overrides& overrides) {
+  const scenario::ScenarioSpec spec = make_spec(overrides);
   analysis::print_banner(std::cout, "Ablation 1: PPM order",
                          "bits/symbol sweep on a fixed N=64, C=4 TDC, 40 ns SPAD",
-                         seed);
+                         spec.seed);
 
   const auto cfg0 = base_config();
   std::cout << "\nOOK baseline on the same SPAD: "
@@ -78,7 +82,7 @@ void print_reproduction(std::uint64_t seed) {
                                "bps", 2)
             << " (1 bit per detection cycle)\n\n";
 
-  const scenario::RunReport report = scenario::ScenarioRunner().run(make_spec(seed));
+  const scenario::RunReport report = scenario::ScenarioRunner().run(spec);
   util::Table t({"K [bits/sym]", "slot width", "SER", "BER", "raw TP", "goodput"});
   for (const scenario::RunPoint& p : report.points) {
     t.new_row()
@@ -111,8 +115,16 @@ BENCHMARK(BM_TransmitSymbolStream)->Arg(4)->Arg(8);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = oci::scenario::resolve_seed(kSeed, argc, argv);
-  print_reproduction(seed);
+  oci::scenario::Overrides overrides;
+  try {
+    overrides = oci::scenario::read_overrides(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "abl_ppm_order: " << e.what()
+              << "\nusage: abl_ppm_order [--seed=N] [--precision=H] [--max-samples=N] "
+                 "[benchmark flags]\n";
+    return 1;
+  }
+  print_reproduction(overrides);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -23,6 +23,7 @@
 
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "oci/electrical/scaling.hpp"
 #include "oci/link/optical_link.hpp"
 #include "oci/link/tradeoff.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/sim/batch_runner.hpp"
 #include "oci/tdc/calibration.hpp"
@@ -135,7 +137,7 @@ void energy_scaling_table() {
          "load, so the optical energy advantage widens down the ladder.\n\n";
 }
 
-void mismatch_table() {
+void mismatch_table(const scenario::Overrides& overrides) {
   // Monte Carlo the delay line at each node's mismatch and report the
   // uncalibrated DNL spread the periodic calibration has to absorb.
   // This is the heaviest sweep here -- one 200k-sample code-density
@@ -160,6 +162,7 @@ void mismatch_table() {
   spec.sweep = {scenario::SweepAxis::categories("tech_node", std::move(nodes))};
   spec.budget.samples = 200000;
   spec.budget.floor = 2000;
+  overrides.apply(spec);
   const scenario::RunReport report = scenario::ScenarioRunner().run(spec);
 
   util::Table t({"node", "mismatch sigma", "worst |DNL| [LSB]", "max |INL| [LSB]"});
@@ -179,7 +182,7 @@ void mismatch_table() {
          "rather than PVT-adjusted delay lines.\n";
 }
 
-void print_reproduction() {
+void print_reproduction(const scenario::Overrides& overrides) {
   const sim::BatchRunner runner = make_runner();
   analysis::print_banner(std::cout, "Ablation 12: DSM technology scaling",
                          "TDC throughput, energy per bit, and mismatch across "
@@ -188,7 +191,7 @@ void print_reproduction() {
   std::cout << "sweep threads = " << runner.threads() << "\n";
   tdc_scaling_table(runner);
   energy_scaling_table();
-  mismatch_table();
+  mismatch_table(overrides);
 }
 
 void BM_BestDesignAcrossLadder(benchmark::State& state) {
@@ -228,8 +231,17 @@ BENCHMARK(BM_MismatchSweep);
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_seed = oci::scenario::resolve_seed(kSeed, argc, argv);
-  print_reproduction();
+  oci::scenario::Overrides overrides;
+  try {
+    overrides = oci::scenario::read_overrides(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "abl_scaling: " << e.what()
+              << "\nusage: abl_scaling [--seed=N] [--precision=H] [--max-samples=N] "
+                 "[benchmark flags]\n";
+    return 1;
+  }
+  g_seed = overrides.seed.value_or(kSeed);
+  print_reproduction(overrides);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -19,9 +19,11 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <stdexcept>
 
 #include "oci/analysis/report.hpp"
 #include "oci/link/wdm_link.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/util/table.hpp"
 
@@ -34,9 +36,9 @@ using util::Wavelength;
 
 constexpr std::uint64_t kSeed = 20080614;
 
-scenario::ScenarioSpec base_spec(std::uint64_t seed) {
+scenario::ScenarioSpec base_spec(const scenario::Overrides& overrides) {
   scenario::ScenarioSpec spec;
-  spec.seed = seed;
+  spec.seed = kSeed;
   spec.topology = scenario::Topology::kWdm;
   spec.wdm.grid.center = Wavelength::nanometres(850.0);
   spec.wdm.grid.spacing = Wavelength::nanometres(25.0);
@@ -52,12 +54,13 @@ scenario::ScenarioSpec base_spec(std::uint64_t seed) {
   spec.device.calibration_samples = analysis::scaled(30000, 2000);
   spec.budget.samples = 400;
   spec.budget.floor = 40;
+  overrides.apply(spec);
   return spec;
 }
 
 link::WdmLinkConfig bm_config() {
   link::WdmLinkConfig c;
-  const scenario::ScenarioSpec spec = base_spec(kSeed);
+  const scenario::ScenarioSpec spec = base_spec(scenario::Overrides{});
   c.grid = spec.wdm.grid;
   c.base = spec.device;
   c.path_transmittance = spec.wdm.path_transmittance;
@@ -141,15 +144,16 @@ void stack_grid_table(const scenario::ScenarioRunner& runner, scenario::Scenario
          "~900-1000 nm window where both losses stay survivable.\n";
 }
 
-void print_reproduction(std::uint64_t seed) {
+void print_reproduction(const scenario::Overrides& overrides) {
+  const scenario::ScenarioSpec base = base_spec(overrides);
   analysis::print_banner(std::cout, "Ablation 11: WDM over one optical path",
                          "aggregate goodput vs channel count, demux isolation, "
                          "and grid placement through a die stack",
-                         seed);
+                         base.seed);
   const scenario::ScenarioRunner runner;
-  channel_scaling_table(runner, base_spec(seed));
-  isolation_table(runner, base_spec(seed));
-  stack_grid_table(runner, base_spec(seed));
+  channel_scaling_table(runner, base);
+  isolation_table(runner, base);
+  stack_grid_table(runner, base);
 }
 
 void BM_WdmWindow(benchmark::State& state) {
@@ -165,8 +169,16 @@ BENCHMARK(BM_WdmWindow);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = oci::scenario::resolve_seed(kSeed, argc, argv);
-  print_reproduction(seed);
+  oci::scenario::Overrides overrides;
+  try {
+    overrides = oci::scenario::read_overrides(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "abl_wdm: " << e.what()
+              << "\nusage: abl_wdm [--seed=N] [--precision=H] [--max-samples=N] "
+                 "[benchmark flags]\n";
+    return 1;
+  }
+  print_reproduction(overrides);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

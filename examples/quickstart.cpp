@@ -1,34 +1,45 @@
 // Quickstart: send a text message over one SPAD/PPM optical link and
 // print what arrives, along with the link's vital statistics.
 //
-//   $ ./quickstart [seed]        (also --seed=N / OCI_SEED)
+//   $ ./quickstart [--seed=N] [--precision=H] [--max-samples=N]
+//
+// The flags (or OCI_SEED / OCI_PRECISION / OCI_MAX_SAMPLES) override the
+// spec built below; see oci/scenario/cli.hpp.
 //
 // Walks the canonical Scenario API path: describe the experiment as a
 // ScenarioSpec -> construct the same link the runner would (for the
 // hello-message frame) -> hand the spec to ScenarioRunner for the
 // error-rate measurement and read the metrics off the RunReport.
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "oci/analysis/report.hpp"
 #include "oci/link/optical_link.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace oci;
-  std::uint64_t seed = argc > 1 && argv[1][0] != '-'
-                           ? std::strtoull(argv[1], nullptr, 10)
-                           : 42;
-  seed = scenario::resolve_seed(seed, argc, argv);
+  scenario::Overrides overrides;
+  try {
+    overrides = scenario::read_overrides(argc, argv);
+    if (argc > 1) {
+      throw std::invalid_argument(std::string("unexpected argument '") + argv[1] + "'");
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "quickstart: " << e.what()
+              << "\nusage: quickstart [--seed=N] [--precision=H] [--max-samples=N]\n";
+    return 1;
+  }
 
   // 1. Describe the experiment. The spec is plain data -- the same
   //    description could live in a text file for tools/run_scenario.
   scenario::ScenarioSpec spec;
   spec.name = "quickstart";
   spec.description = "one SPAD/PPM link, 5 bits per pulse";
-  spec.seed = seed;
+  spec.seed = 42;
   spec.topology = scenario::Topology::kPointToPoint;
   // A 64-element delay line with 4 coarse bits gives a 10-bit TDC; we
   // carry 5 bits per pulse for jitter margin.
@@ -42,12 +53,13 @@ int main(int argc, char** argv) {
   spec.device.calibration_samples = analysis::scaled(200000, 5000);
   spec.budget.samples = 20000;
   spec.budget.floor = 500;
+  overrides.apply(spec);
 
   // 2. Construct the device under test for the message demo. The RNG
   //    stream seeds process variation (delay-line mismatch) and the
   //    construction-time code-density calibration; spec.device is
   //    exactly the configuration ScenarioRunner resolves.
-  util::RngStream process(seed, "quickstart-process");
+  util::RngStream process(spec.seed, "quickstart-process");
   const link::OpticalLink link(spec.device, process);
 
   std::cout << "link configured: " << link.bits_per_symbol() << " bits/symbol, "
@@ -61,7 +73,7 @@ int main(int argc, char** argv) {
   modulation::Frame frame;
   frame.payload.assign(message.begin(), message.end());
 
-  util::RngStream channel(seed, "quickstart-channel");
+  util::RngStream channel(spec.seed, "quickstart-channel");
   const auto result = link.transmit_frame(frame, channel);
 
   if (result.frame) {

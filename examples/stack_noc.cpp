@@ -3,26 +3,38 @@
 // layer's frame-delivery probability comes from the die-stack link
 // budget, and ARQ covers residual loss.
 //
-//   $ ./stack_noc [seed]        (also --seed=N / OCI_SEED)
+//   $ ./stack_noc [--seed=N] [--precision=H] [--max-samples=N]
+//
+// The flags (or OCI_SEED / OCI_PRECISION / OCI_MAX_SAMPLES) override the
+// spec built below; see oci/scenario/cli.hpp.
 //
 // Demonstrates the full layering through the Scenario API: photonics
 // (stack budget) -> one declarative ScenarioSpec (master-broadcast
 // traffic on the stack-NoC topology) -> ScenarioRunner -> RunReport.
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "oci/link/budget.hpp"
 #include "oci/photonics/die_stack.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/runner.hpp"
 #include "oci/util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace oci;
-  std::uint64_t seed = argc > 1 && argv[1][0] != '-'
-                           ? std::strtoull(argv[1], nullptr, 10)
-                           : 42;
-  seed = scenario::resolve_seed(seed, argc, argv);
+  scenario::Overrides overrides;
+  try {
+    overrides = scenario::read_overrides(argc, argv);
+    if (argc > 1) {
+      throw std::invalid_argument(std::string("unexpected argument '") + argv[1] + "'");
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "stack_noc: " << e.what()
+              << "\nusage: stack_noc [--seed=N] [--precision=H] [--max-samples=N]\n";
+    return 1;
+  }
 
   // 1. Physical substrate: 16 thinned dies, NIR micro-LEDs bright
   //    enough to reach the far end of the stack.
@@ -52,7 +64,7 @@ int main(int argc, char** argv) {
   scenario::ScenarioSpec spec;
   spec.name = "stack_noc";
   spec.description = "16-die optical bus, token MAC, budget-derived delivery";
-  spec.seed = seed;
+  spec.seed = 42;
   spec.topology = scenario::Topology::kStackNoc;
   spec.noc.dies = kDies;
   spec.noc.pattern = scenario::NocPattern::kMasterBroadcast;
@@ -63,6 +75,7 @@ int main(int argc, char** argv) {
   spec.noc.max_attempts = 5;
   spec.budget.samples = 200000;
   spec.budget.floor = 2000;
+  overrides.apply(spec);
 
   const scenario::RunReport report = scenario::ScenarioRunner().run(spec);
   const scenario::RunPoint& p = report.points.front();

@@ -9,7 +9,7 @@
 // the CI diff tooling understands.
 //
 // Determinism contract: a RunReport's coordinates, metrics, samples and
-// rng_draws are a pure function of (spec, resolved seed, repro scale) --
+// rng_draws are a pure function of (spec, repro scale) --
 // independent of OCI_BATCH_THREADS -- so ported benches keep the CI
 // 1-thread-vs-8-thread bit-identical guarantee. Wall-clock fields are
 // the only nondeterministic part and are confined to the JSON export.
@@ -121,7 +121,7 @@ struct RunReport {
   double repro_scale = 1.0;
   std::string topology;
   bool adaptive = false;  ///< ran under a PrecisionSpec stopping rule
-  /// serialize.hpp's content hash of the resolved spec. Merge refuses
+  /// serialize.hpp's content hash of the spec that ran. Merge refuses
   /// to fold reports whose hashes differ -- they are different
   /// experiments even if their names match.
   std::string spec_hash;
@@ -182,13 +182,13 @@ struct RunOptions {
 class ScenarioRunner {
  public:
   /// `threads` as in sim::BatchConfig (0 = hardware concurrency,
-  /// OCI_BATCH_THREADS overrides). The spec's resolved seed roots the
+  /// OCI_BATCH_THREADS overrides). The spec's seed roots the
   /// per-point RNG streams, so one runner serves many specs.
   explicit ScenarioRunner(std::size_t threads = 0) : threads_(threads) {}
 
-  /// Validates and executes the spec. Seed precedence: OCI_SEED (when
-  /// set to an unsigned integer) overrides spec.seed, so one
-  /// environment knob re-seeds every scenario-driven binary uniformly.
+  /// Validates and executes exactly this spec: its seed, its precision
+  /// block, its hash. Outside overrides are the caller's to apply
+  /// (Overrides, cli.hpp); the environment is never consulted.
   [[nodiscard]] RunReport run(const ScenarioSpec& spec) const;
 
   /// Same, with a result store and/or shard. Per-point RNG streams are

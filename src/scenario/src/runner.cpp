@@ -853,25 +853,19 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
                                 " out of range for count " +
                                 std::to_string(options.shard.count));
   }
-  ScenarioSpec base = spec;
-  base.seed = resolve_seed(spec.seed);
-  apply_precision_overrides(base);
-  base.validate();  // overrides must not smuggle in an invalid precision block
 
   RunReport report;
-  report.scenario = base.name;
-  report.description = base.description;
-  report.seed = base.seed;
+  report.scenario = spec.name;
+  report.description = spec.description;
+  report.seed = spec.seed;
   report.repro_scale = analysis::repro_scale();
-  report.topology = to_string(base.topology);
-  report.adaptive = base.precision.enabled;
-  // Hashed AFTER seed/precision overrides resolve: the hash names what
-  // actually runs, not what the file said.
-  report.spec_hash = spec_hash(base);
-  report.confidence_z = base.precision.confidence_z;
+  report.topology = to_string(spec.topology);
+  report.adaptive = spec.precision.enabled;
+  report.spec_hash = spec_hash(spec);
+  report.confidence_z = spec.precision.confidence_z;
   report.shard = options.shard;
-  for (const SweepAxis& a : base.sweep) report.axis_names.push_back(a.param);
-  const Workload& workload = workload_for(base);
+  for (const SweepAxis& a : spec.sweep) report.axis_names.push_back(a.param);
+  const Workload& workload = workload_for(spec);
   for (const MetricDef& d : workload.metrics) {
     report.metric_names.push_back(d.name);
     report.metric_kinds.push_back(d.kind);
@@ -880,7 +874,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
 
   sim::BatchConfig bc;
   bc.threads = threads_;
-  bc.root_seed = base.seed;
+  bc.root_seed = spec.seed;
   const sim::BatchRunner runner(bc);
   report.threads = runner.threads();
 
@@ -902,8 +896,8 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
     std::uint64_t cache_save_failures = 0;
   };
 
-  const bool adaptive = base.precision.enabled;
-  const std::size_t n = base.sweep_points();
+  const bool adaptive = spec.precision.enabled;
+  const std::size_t n = spec.sweep_points();
   report.points_total = n;
   // Shard i of N owns global points {i, i+N, i+2N, ...}. Streams (and
   // therefore cache keys) derive from the GLOBAL index, so a shard's
@@ -914,17 +908,20 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
   }
   const ResultStore* store = options.store;
   auto results = runner.map_until<PointState>(
-      point_ids, "scenario:" + base.name,
+      point_ids, "scenario:" + spec.name,
       [&](std::size_t i, std::size_t chunk, RngStream& rng, PointState& st) {
         if (!st.init) {
-          st.point = base;
-          const std::vector<std::size_t> idx = unravel(i, base.sweep);
-          for (std::size_t a = 0; a < base.sweep.size(); ++a) {
-            apply_axis_value(st.point, base.sweep[a], idx[a]);
-            st.acc.coordinate.push_back(base.sweep[a].display(idx[a]));
+          st.point = spec;
+          const std::vector<std::size_t> idx = unravel(i, spec.sweep);
+          for (std::size_t a = 0; a < spec.sweep.size(); ++a) {
+            apply_axis_value(st.point, spec.sweep[a], idx[a]);
+            st.acc.coordinate.push_back(spec.sweep[a].display(idx[a]));
           }
           // Re-validate after axis application: a sweep can push the
-          // spec into an invalid corner (e.g. channels = 0).
+          // spec into an invalid corner (e.g. channels = 0). The point
+          // is one corner, so it drops the axes: their values were
+          // checked once, by the validate() above.
+          st.point.sweep.clear();
           st.point.validate();
           if (st.point.fault.any()) {
             // Realise the point's faults from a dedicated stream keyed
@@ -938,7 +935,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
             if (st.point.topology == Topology::kStackNoc) {
               ctx.noc_dies = st.point.noc.dies;
             }
-            RngStream frng(base.seed, "fault/" + std::to_string(i) + "/" +
+            RngStream frng(spec.seed, "fault/" + std::to_string(i) + "/" +
                                           std::to_string(st.point.fault.salt));
             st.fr = fault::realise(st.point.fault, ctx, frng);
             st.faulted = true;
@@ -992,7 +989,7 @@ RunReport ScenarioRunner::run(const ScenarioSpec& spec, const RunOptions& option
         ChunkKey key;
         std::optional<ChunkRecord> rec;
         if (store != nullptr) {
-          key = ChunkKey{report.spec_hash, base.seed, i, chunk};
+          key = ChunkKey{report.spec_hash, spec.seed, i, chunk};
           rec = store->load(key);
           // A rare-event point's record must carry weight state (the
           // sum of weights is positive by construction): a record

@@ -755,6 +755,7 @@ void ScenarioSpec::validate() const {
   // with the report's metric_names.
   static constexpr const char* kNotSweepable[] = {"topology", "mode", "name",
                                                   "description", "seed"};
+  std::optional<ScenarioSpec> probe;  // copied on the first well-formed axis
   for (const SweepAxis& a : sweep) {
     if (a.param.empty()) {
       err("sweep axis with empty parameter name");
@@ -773,11 +774,25 @@ void ScenarioSpec::validate() const {
     if (a.size() == 0) err("sweep axis '" + a.param + "' has no points");
     if (!a.values.empty() && !a.labels.empty()) {
       err("sweep axis '" + a.param + "' mixes numeric values and labels");
+      continue;
     }
     if (a.categorical() != is_categorical_param(a.param)) {
       err(is_categorical_param(a.param)
               ? "sweep axis '" + a.param + "' needs categorical labels, not numbers"
               : "sweep axis '" + a.param + "' needs numeric values, not labels");
+      continue;
+    }
+    // Every value must be one its key accepts (a count within its
+    // field's width, a known label), checked here rather than mid-sweep.
+    // The probe is not validated: values that are only valid together
+    // with another axis's must still pass.
+    if (!probe) probe.emplace(*this);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      try {
+        apply_axis_value(*probe, a, i);
+      } catch (const std::invalid_argument& e) {
+        err(e.what());
+      }
     }
   }
 

@@ -179,6 +179,25 @@ TEST(ScenarioParse, RejectsCountsPastTheUint64Range) {
             18446744073709551615ull);
   EXPECT_EQ(parse_spec_text("fault.salt = 1.8446744073709549568e19\n").fault.salt,
             18446744073709549568ull);
+
+  // A sweep value is held to the same rule by validate() -- before a run
+  // starts or `run_scenario hash` prints a key -- with the key named.
+  for (const auto& [text, key] :
+       {std::pair{"sweep.coarse_bits = 5, 4294967297\n", "'coarse_bits'"},
+        std::pair{"topology = stack-noc\nsweep.mac = tdma, bogus\n", "'mac'"}}) {
+    const ScenarioSpec spec = parse_spec_text(text, "sweep.spec");
+    try {
+      spec.validate();
+      ADD_FAILURE() << "expected a validation error for: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // Each value is checked alone: values that are only invalid together
+  // (dead + hot pixels > 1 at one corner) are left to that point.
+  EXPECT_NO_THROW(parse_spec_text("sweep.fault.dead_pixel_fraction = 0, 0.6\n"
+                                  "sweep.fault.hot_pixel_fraction = 0.6, 0\n")
+                      .validate());
 }
 
 TEST(ScenarioParse, PrecisionKeysParse) {

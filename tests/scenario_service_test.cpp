@@ -16,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -708,47 +709,58 @@ TEST(ReportIo, LoadRejectsMalformedDocuments) {
 
 // -- CLI helpers --------------------------------------------------------
 
+/// read_overrides over a writable copy of `args` (argv[0] = "tool");
+/// `left` receives the arguments it did not consume.
+scenario::Overrides read_args(std::vector<std::string> args,
+                              std::vector<std::string>* left = nullptr) {
+  args.insert(args.begin(), "tool");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int argc = static_cast<int>(args.size());
+  const scenario::Overrides o = scenario::read_overrides(argc, argv.data());
+  if (left != nullptr) left->assign(argv.begin() + 1, argv.begin() + argc);
+  return o;
+}
+
 TEST(ScenarioCli, ParsesShardSpecs) {
-  const ShardSpec s = scenario::parse_shard("1/4");
+  const ShardSpec s = read_args({"--shard=1/4"}).shard;
   EXPECT_EQ(s.index, 1u);
   EXPECT_EQ(s.count, 4u);
   EXPECT_TRUE(s.active());
-  EXPECT_FALSE(scenario::parse_shard("0/1").active());
+  EXPECT_FALSE(read_args({"--shard", "0/1"}).shard.active());
+  EXPECT_FALSE(read_args({}).shard.active());
   for (const char* bad : {"", "2", "a/2", "1/b", "1/2x", "-1/2", "1/-2", "2/2",
                           "3/2", "0/0", "1/", "/2"}) {
-    EXPECT_THROW((void)scenario::parse_shard(bad), std::invalid_argument) << bad;
+    try {
+      (void)read_args({std::string("--shard=") + bad});
+      ADD_FAILURE() << "accepted --shard=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--shard"), std::string::npos) << e.what();
+    }
   }
 }
 
 TEST(ScenarioCli, ConsumesShardAndCacheArgs) {
   const char* saved = std::getenv("OCI_SCENARIO_CACHE");
   const std::string saved_value = saved ? saved : "";
-  ::unsetenv("OCI_SCENARIO_CACHE");
-
-  std::vector<std::string> args = {"tool", "spec.file", "--shard=1/2",
-                                   "--cache=/tmp/c", "--out=x.json"};
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  int argc = static_cast<int>(argv.size());
-
-  const auto shard = scenario::consume_shard_arg(argc, argv.data());
-  ASSERT_TRUE(shard.has_value());
-  EXPECT_EQ(shard->index, 1u);
-  EXPECT_EQ(shard->count, 2u);
-  const auto cache = scenario::resolve_cache_dir(argc, argv.data());
-  ASSERT_TRUE(cache.has_value());
-  EXPECT_EQ(*cache, "/tmp/c");
-  // Both consumed and re-exported; unrelated args intact.
-  EXPECT_EQ(argc, 3);
-  EXPECT_STREQ(argv[1], "spec.file");
-  EXPECT_STREQ(argv[2], "--out=x.json");
-  EXPECT_STREQ(std::getenv("OCI_SCENARIO_CACHE"), "/tmp/c");
-
-  ::unsetenv("OCI_SCENARIO_CACHE");
-  // Env fallback when no flag is present.
   ::setenv("OCI_SCENARIO_CACHE", "/tmp/from_env", 1);
-  int argc2 = 1;
-  EXPECT_EQ(scenario::resolve_cache_dir(argc2, argv.data()).value(), "/tmp/from_env");
+
+  // The flag beats the variable, which is left as it was; unrelated
+  // args stay in place.
+  std::vector<std::string> left;
+  const scenario::Overrides o =
+      read_args({"spec.file", "--shard=1/2", "--cache=/tmp/c", "--out=x.json"}, &left);
+  EXPECT_EQ(o.shard.index, 1u);
+  EXPECT_EQ(o.shard.count, 2u);
+  EXPECT_EQ(o.cache_dir, std::optional<std::string>("/tmp/c"));
+  EXPECT_EQ(left, (std::vector<std::string>{"spec.file", "--out=x.json"}));
+  EXPECT_STREQ(std::getenv("OCI_SCENARIO_CACHE"), "/tmp/from_env");
+
+  // Variable fallback when no flag is present; an empty one is unset.
+  EXPECT_EQ(read_args({}).cache_dir, std::optional<std::string>("/tmp/from_env"));
+  ::setenv("OCI_SCENARIO_CACHE", "", 1);
+  EXPECT_FALSE(read_args({}).cache_dir.has_value());
   if (saved) {
     ::setenv("OCI_SCENARIO_CACHE", saved_value.c_str(), 1);
   } else {
@@ -756,12 +768,8 @@ TEST(ScenarioCli, ConsumesShardAndCacheArgs) {
   }
 
   // Garbled values throw, naming the flag.
-  std::vector<std::string> bad = {"tool", "--shard=9/3"};
-  std::vector<char*> bad_argv;
-  for (std::string& a : bad) bad_argv.push_back(a.data());
-  int bad_argc = static_cast<int>(bad_argv.size());
-  EXPECT_THROW((void)scenario::consume_shard_arg(bad_argc, bad_argv.data()),
-               std::invalid_argument);
+  EXPECT_THROW((void)read_args({"--shard=9/3"}), std::invalid_argument);
+  EXPECT_THROW((void)read_args({"--cache="}), std::invalid_argument);
 }
 
 TEST(ScenarioService, RejectsInvalidShardOptions) {

@@ -1,5 +1,6 @@
 // Tests for the Scenario API: spec validation rejections, the shared
-// parameter registry, seed resolution (--seed= / OCI_SEED), the
+// parameter registry, the outside overrides (read_overrides + apply:
+// --seed= / OCI_SEED, --precision= / OCI_PRECISION), the
 // spec -> run -> RunReport round trip at a fixed seed (deterministic,
 // thread-count independent), and statistical consistency between
 // ScenarioRunner's engine resolution and direct hand-wired engine
@@ -12,13 +13,17 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oci/analysis/report.hpp"
 #include "oci/link/optical_link.hpp"
+#include "oci/scenario/cli.hpp"
 #include "oci/scenario/parse.hpp"
 #include "oci/scenario/runner.hpp"
+#include "oci/scenario/serialize.hpp"
 #include "oci/scenario/spec.hpp"
 #include "support/stat_assert.hpp"
 
@@ -676,14 +681,58 @@ TEST(ScenarioAdaptive, MeetsTargetWithThreeFoldFewerSymbols) {
   EXPECT_LT(adaptive_total, 5 * 4000u);
 }
 
+/// Sets (value) or unsets (nullptr) one environment variable for the
+/// scope and restores its previous state afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    set(value);
+  }
+  ~ScopedEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void set(const char* value) {
+    if (value != nullptr) {
+      ::setenv(name_, value, 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// A writable argv (argv[0] = "bench") for read_overrides.
+struct Args {
+  explicit Args(std::vector<std::string> rest) : text(std::move(rest)) {
+    text.insert(text.begin(), "bench");
+    for (std::string& a : text) ptrs.push_back(a.data());
+    ptrs.push_back(nullptr);
+    argc = static_cast<int>(text.size());
+  }
+  [[nodiscard]] scenario::Overrides read() { return scenario::read_overrides(argc, ptrs.data()); }
+  [[nodiscard]] std::vector<std::string> left() const {
+    return std::vector<std::string>(ptrs.begin() + 1, ptrs.begin() + argc);
+  }
+  std::vector<std::string> text;
+  std::vector<char*> ptrs;
+  int argc = 0;
+};
+
 TEST(ScenarioPrecision, EnvOverridesArmAdaptiveMode) {
-  ASSERT_EQ(setenv("OCI_PRECISION", "0.05", 1), 0);
-  ASSERT_EQ(setenv("OCI_MAX_SAMPLES", "700", 1), 0);
+  scenario::Overrides o;
+  {
+    const ScopedEnv precision("OCI_PRECISION", "0.05");
+    const ScopedEnv cap("OCI_MAX_SAMPLES", "700");
+    o = Args({}).read();
+  }
   ScenarioSpec spec = tiny_link_spec();
   spec.budget.samples = 200;
+  o.apply(spec);
   const RunReport report = ScenarioRunner().run(spec);
-  unsetenv("OCI_PRECISION");
-  unsetenv("OCI_MAX_SAMPLES");
 
   EXPECT_TRUE(report.adaptive);
   const RunPoint& p = report.points.front();
@@ -691,128 +740,133 @@ TEST(ScenarioPrecision, EnvOverridesArmAdaptiveMode) {
   const analysis::Estimate& ser = report.estimate(p, "ser");
   EXPECT_TRUE(ser.half_width() <= 0.05 || p.samples == 700u);
 
-  // The env override FORCES an absolute target: a spec's own looser
-  // relative / rare-event rules are cleared, not OR'd in.
-  ASSERT_EQ(setenv("OCI_PRECISION", "0.004", 1), 0);
+  // The precision override FORCES an absolute target: a spec's own
+  // looser relative / rare-event rules are cleared, not OR'd in.
+  scenario::Overrides tight;
+  tight.precision = 0.004;
   ScenarioSpec loose = tiny_link_spec();
   loose.precision.enabled = true;
   loose.precision.target_half_width = 0.1;
   loose.precision.target_relative = 0.5;
   loose.precision.stop_below = 0.9;
-  scenario::apply_precision_overrides(loose);
-  unsetenv("OCI_PRECISION");
+  tight.apply(loose);
   EXPECT_DOUBLE_EQ(loose.precision.target_half_width, 0.004);
   EXPECT_DOUBLE_EQ(loose.precision.target_relative, 0.0);
   EXPECT_DOUBLE_EQ(loose.precision.stop_below, 0.0);
 
-  // Garbled values read as unset.
-  ASSERT_EQ(setenv("OCI_PRECISION", "tight", 1), 0);
-  EXPECT_FALSE(scenario::precision_from_env().has_value());
-  unsetenv("OCI_PRECISION");
-  EXPECT_FALSE(scenario::max_samples_from_env().has_value());
+  // Code-density traffic cannot chunk: the override skips it rather
+  // than turning a valid spec invalid.
+  ScenarioSpec density = tiny_link_spec();
+  density.mode = TrafficMode::kCodeDensity;
+  tight.apply(density);
+  EXPECT_FALSE(density.precision.enabled);
+  EXPECT_NO_THROW(density.validate());
+
+  // Garbled variables read as unset.
+  const ScopedEnv garbled("OCI_PRECISION", "tight");
+  const ScopedEnv zero("OCI_MAX_SAMPLES", "0");
+  const scenario::Overrides none = Args({}).read();
+  EXPECT_FALSE(none.precision.has_value());
+  EXPECT_FALSE(none.max_samples.has_value());
 }
 
-TEST(ScenarioPrecision, CliArgsConsumedAndExported) {
-  char a0[] = "run_scenario";
-  char a1[] = "--precision=0.02";
-  char a2[] = "--max-samples";
-  char a3[] = "999";
-  char a4[] = "spec.file";
-  char* argv[] = {a0, a1, a2, a3, a4, nullptr};
-  int argc = 5;
-  scenario::consume_precision_args(argc, argv);
-  EXPECT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], "spec.file");
-  ASSERT_TRUE(scenario::precision_from_env().has_value());
-  EXPECT_DOUBLE_EQ(*scenario::precision_from_env(), 0.02);
-  ASSERT_TRUE(scenario::max_samples_from_env().has_value());
-  EXPECT_EQ(*scenario::max_samples_from_env(), 999u);
-  unsetenv("OCI_PRECISION");
-  unsetenv("OCI_MAX_SAMPLES");
+TEST(ScenarioPrecision, CliArgsConsumedAndWin) {
+  const ScopedEnv env_precision("OCI_PRECISION", "0.5");
+  const ScopedEnv env_cap("OCI_MAX_SAMPLES", nullptr);
+  Args args({"--precision=0.02", "--max-samples", "999", "spec.file"});
+  const scenario::Overrides o = args.read();
+  EXPECT_EQ(args.left(), std::vector<std::string>{"spec.file"});
+  EXPECT_EQ(args.ptrs[static_cast<std::size_t>(args.argc)], nullptr);
+  ASSERT_TRUE(o.precision.has_value());
+  EXPECT_DOUBLE_EQ(*o.precision, 0.02);  // the flag beats OCI_PRECISION
+  ASSERT_TRUE(o.max_samples.has_value());
+  EXPECT_EQ(*o.max_samples, 999u);
+  EXPECT_STREQ(std::getenv("OCI_PRECISION"), "0.5");  // read, never written
+  EXPECT_EQ(std::getenv("OCI_MAX_SAMPLES"), nullptr);
 
-  // An explicit but garbled override throws instead of silently
-  // running the wrong experiment, and leaks nothing into the env.
-  char g1[] = "--precision=fast";
-  char* argv_bad[] = {a0, g1, nullptr};
-  int argc_bad = 2;
-  EXPECT_THROW(scenario::consume_precision_args(argc_bad, argv_bad),
-               std::invalid_argument);
-  EXPECT_FALSE(scenario::precision_from_env().has_value());
-  char g2[] = "--max-samples=-3";
-  char* argv_bad2[] = {a0, g2, nullptr};
-  int argc_bad2 = 2;
-  EXPECT_THROW(scenario::consume_precision_args(argc_bad2, argv_bad2),
-               std::invalid_argument);
-  EXPECT_FALSE(scenario::max_samples_from_env().has_value());
+  // An explicit but garbled override throws, naming the flag, instead of
+  // silently running the wrong experiment.
+  for (const char* bad : {"--precision=fast", "--precision=0", "--max-samples=-3",
+                          "--max-samples=0", "--cache=", "--precision"}) {
+    Args garbled({bad});
+    try {
+      (void)garbled.read();
+      ADD_FAILURE() << "expected " << bad << " to throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string flag = std::string(bad).substr(0, std::string(bad).find('='));
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ScenarioSeed, EnvOverrideBeatsSpecSeed) {
-  ASSERT_EQ(setenv("OCI_SEED", "777", 1), 0);
   ScenarioSpec spec = tiny_link_spec();
   spec.budget.samples = 20;
-  const RunReport report = ScenarioRunner().run(spec);
-  unsetenv("OCI_SEED");
-  EXPECT_EQ(report.seed, 777u);
-
+  {
+    const ScopedEnv env("OCI_SEED", "777");
+    ScenarioSpec seeded = spec;
+    Args({}).read().apply(seeded);
+    EXPECT_EQ(ScenarioRunner().run(seeded).seed, 777u);
+  }
   // Garbled values fall back to the spec seed.
-  ASSERT_EQ(setenv("OCI_SEED", "not-a-seed", 1), 0);
-  const RunReport fallback = ScenarioRunner().run(spec);
-  unsetenv("OCI_SEED");
-  EXPECT_EQ(fallback.seed, kSeed);
+  const ScopedEnv env("OCI_SEED", "not-a-seed");
+  ScenarioSpec fallback = spec;
+  Args({}).read().apply(fallback);
+  EXPECT_EQ(ScenarioRunner().run(fallback).seed, kSeed);
 }
 
 TEST(ScenarioSeed, CliArgConsumedAndWins) {
-  // The CLI seed must beat a CONFLICTING pre-existing OCI_SEED --
-  // including inside a later ScenarioRunner::run(), which re-resolves
-  // the seed itself. The consumed value travels as an explicit
-  // in-process override (set_seed_override); the environment variable
-  // must stay untouched, not be clobbered with the CLI value (the old
-  // workaround, which leaked the override into child processes).
-  ASSERT_EQ(setenv("OCI_SEED", "555", 1), 0);
-  char a0[] = "bench";
-  char a1[] = "--seed=4242";
-  char a2[] = "--benchmark_filter=none";
-  char* argv[] = {a0, a1, a2, nullptr};
-  int argc = 3;
-  EXPECT_EQ(scenario::resolve_seed(7, argc, argv), 4242u);
-  EXPECT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], "--benchmark_filter=none");
-  ScenarioSpec spec = tiny_link_spec();
-  spec.budget.samples = 20;
-  EXPECT_EQ(ScenarioRunner().run(spec).seed, 4242u);
-  ASSERT_NE(std::getenv("OCI_SEED"), nullptr);
-  EXPECT_STREQ(std::getenv("OCI_SEED"), "555");  // environment untouched
-  unsetenv("OCI_SEED");
-  scenario::set_seed_override(std::nullopt);
+  // The flag beats a CONFLICTING OCI_SEED and leaves the variable as it
+  // was; unknown flags stay in argv for benchmark::Initialize.
+  {
+    const ScopedEnv env("OCI_SEED", "555");
+    Args args({"--seed=4242", "--benchmark_filter=none"});
+    const scenario::Overrides o = args.read();
+    EXPECT_EQ(o.seed, std::optional<std::uint64_t>(4242u));
+    EXPECT_EQ(args.left(), std::vector<std::string>{"--benchmark_filter=none"});
+    ScenarioSpec spec = tiny_link_spec();
+    spec.budget.samples = 20;
+    o.apply(spec);
+    EXPECT_EQ(ScenarioRunner().run(spec).seed, 4242u);
+    EXPECT_STREQ(std::getenv("OCI_SEED"), "555");
+  }
 
+  const ScopedEnv env("OCI_SEED", nullptr);
   // Split form: --seed N.
-  char b1[] = "--seed";
-  char b2[] = "99";
-  char* argv2[] = {a0, b1, b2, nullptr};
-  int argc2 = 3;
-  EXPECT_EQ(scenario::resolve_seed(7, argc2, argv2), 99u);
-  EXPECT_EQ(argc2, 1);
-  EXPECT_EQ(scenario::seed_override(), std::optional<std::uint64_t>(99u));
-  scenario::set_seed_override(std::nullopt);
+  Args split({"--seed", "99"});
+  EXPECT_EQ(split.read().seed, std::optional<std::uint64_t>(99u));
+  EXPECT_EQ(split.argc, 1);
 
   // A garbled explicit seed throws, naming the flag, instead of running
   // the spec seed.
-  char g1[] = "--seed=12x";
-  char* argv_bad[] = {a0, g1, nullptr};
-  int argc_bad = 2;
   try {
-    (void)scenario::consume_seed_arg(argc_bad, argv_bad);
+    (void)Args({"--seed=12x"}).read();
     FAIL() << "expected --seed=12x to throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos) << e.what();
   }
-  EXPECT_FALSE(scenario::seed_override().has_value());
 
-  // No flag, no env, no override: fallback.
-  unsetenv("OCI_SEED");
-  char* argv3[] = {a0, nullptr};
-  int argc3 = 1;
-  EXPECT_EQ(scenario::resolve_seed(7, argc3, argv3), 7u);
+  // No flag, no variable: nothing to apply, the spec keeps its seed.
+  const scenario::Overrides none = Args({}).read();
+  EXPECT_FALSE(none.seed.has_value());
+  ScenarioSpec spec = tiny_link_spec();
+  none.apply(spec);
+  EXPECT_EQ(spec.seed, kSeed);
+}
+
+TEST(ScenarioRunner, RunsTheSpecItIsGiven) {
+  // The runner reads no override from the environment: the report
+  // carries the spec's own seed and (fixed-budget) mode.
+  const ScopedEnv seed("OCI_SEED", "777");
+  const ScopedEnv precision("OCI_PRECISION", "0.05");
+  const ScopedEnv cap("OCI_MAX_SAMPLES", "50");
+  ScenarioSpec spec = tiny_link_spec();
+  spec.budget.samples = 100;
+  const RunReport report = ScenarioRunner().run(spec);
+  EXPECT_EQ(report.seed, kSeed);
+  EXPECT_FALSE(report.adaptive);
+  EXPECT_EQ(report.points.front().samples, 100u);
+  EXPECT_EQ(report.spec_hash, scenario::spec_hash(spec));
 }
 
 }  // namespace

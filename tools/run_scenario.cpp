@@ -7,16 +7,16 @@
 //                  [--max-samples=N] [--out=PATH] [--shard=I/N]
 //                  [--cache=DIR] [--dump-spec]
 //   $ run_scenario merge [--out=PATH] [--allow-partial] PARTIAL.json...
-//   $ run_scenario hash SPEC_FILE...
+//   $ run_scenario hash SPEC_FILE... [--seed=N] [--precision=H]
+//                  [--max-samples=N]
 //   $ run_scenario cache-gc DIR [--max-age-days=D] [--dry-run]
 //
 // run: loads the spec (see oci/scenario/parse.hpp for the format),
-// resolves the seed/precision overrides (CLI beats OCI_SEED /
-// OCI_PRECISION / OCI_MAX_SAMPLES beats the file), runs it through
-// ScenarioRunner -- consulting the --cache / OCI_SCENARIO_CACHE result
-// store chunk by chunk, so a killed run resumes where it stopped --
-// prints the metric table, and writes the schema-2 BENCH json
-// trajectory document. --shard=i/N executes every Nth sweep point
+// applies the outside overrides (cli.hpp: --seed beats OCI_SEED beats
+// the file, and so on), runs it through ScenarioRunner -- consulting
+// the --cache / OCI_SCENARIO_CACHE result store chunk by chunk, so a
+// killed run resumes where it stopped -- prints the metric table, and
+// writes the schema-2 BENCH json trajectory document. --shard=i/N executes every Nth sweep point
 // starting at i and writes a partial report for `merge` to fold.
 //
 // merge: folds shard partials (and repeat runs under different seeds)
@@ -24,7 +24,8 @@
 // disjoint points pass through verbatim, coincident points pool their
 // accumulator state.
 //
-// hash: prints each spec's content hash (the cache key prefix).
+// hash: prints each spec's content hash (the cache key prefix) after
+// the same overrides `run` applies, so it names what `run` executes.
 //
 // cache-gc: removes cache entries older than --max-age-days.
 //
@@ -54,7 +55,7 @@ void usage(std::ostream& os) {
   os << "usage: run_scenario run SPEC_FILE [--seed=N] [--precision=H] [--max-samples=N]\n"
         "                    [--out=PATH] [--shard=I/N] [--cache=DIR] [--dump-spec]\n"
         "       run_scenario merge [--out=PATH] [--allow-partial] PARTIAL.json...\n"
-        "       run_scenario hash SPEC_FILE...\n"
+        "       run_scenario hash SPEC_FILE... [--seed=N] [--precision=H] [--max-samples=N]\n"
         "       run_scenario cache-gc DIR [--max-age-days=D] [--dry-run]\n"
         "\n"
         "run -- execute a scenario spec:\n"
@@ -79,10 +80,31 @@ void usage(std::ostream& os) {
         "  --allow-partial  accept a union that misses sweep points\n"
         "\n"
         "hash -- print each spec's content hash (the result-store key prefix)\n"
+        "  after the overrides `run` applies\n"
         "\n"
         "cache-gc -- prune a result store by age:\n"
         "  --max-age-days=D remove entries older than D days (default 14)\n"
         "  --dry-run        report what would be removed without removing\n";
+}
+
+/// read_overrides, with a garbled flag reported as bad usage (nullopt).
+std::optional<oci::scenario::Overrides> read_overrides_or_usage(int& argc, char** argv) {
+  try {
+    return oci::scenario::read_overrides(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "run_scenario: " << e.what() << "\n";
+    usage(std::cerr);
+    return std::nullopt;
+  }
+}
+
+/// The spec `run` executes and `hash` names: the file, then the overrides.
+oci::scenario::ScenarioSpec load_spec(const std::string& path,
+                                      const oci::scenario::Overrides& overrides) {
+  oci::scenario::ScenarioSpec spec = oci::scenario::parse_spec_file(path);
+  overrides.apply(spec);
+  spec.validate();
+  return spec;
 }
 
 int cmd_run(int argc, char** argv) {
@@ -91,21 +113,10 @@ int cmd_run(int argc, char** argv) {
   std::string spec_path;
   std::string out_path;
   bool dump = false;
-  scenario::ShardSpec shard;
-  std::optional<std::string> cache_dir;
-  // Consumed first (the seed as the in-process override, the rest
-  // re-exported as their env vars): CLI beats env beats spec, applied
-  // inside ScenarioRunner::run. A garbled value is bad usage.
-  try {
-    (void)scenario::consume_seed_arg(argc, argv);
-    scenario::consume_precision_args(argc, argv);
-    if (const auto s = scenario::consume_shard_arg(argc, argv)) shard = *s;
-    cache_dir = scenario::resolve_cache_dir(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "run_scenario: " << e.what() << "\n";
-    usage(std::cerr);
-    return 1;
-  }
+  const std::optional<scenario::Overrides> overrides = read_overrides_or_usage(argc, argv);
+  if (!overrides) return 1;
+  const scenario::ShardSpec shard = overrides->shard;
+  const std::optional<std::string>& cache_dir = overrides->cache_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -143,9 +154,7 @@ int cmd_run(int argc, char** argv) {
   }
 
   try {
-    scenario::ScenarioSpec spec = scenario::parse_spec_file(spec_path);
-    spec.seed = scenario::resolve_seed(spec.seed);
-    spec.validate();
+    const scenario::ScenarioSpec spec = load_spec(spec_path, *overrides);
 
     analysis::print_banner(std::cout, "scenario: " + spec.name,
                            spec.description.empty()
@@ -285,8 +294,10 @@ int cmd_merge(int argc, char** argv) {
 int cmd_hash(int argc, char** argv) {
   using namespace oci;
 
+  const std::optional<scenario::Overrides> overrides = read_overrides_or_usage(argc, argv);
+  if (!overrides) return 1;
   std::vector<std::string> inputs;
-  for (int i = 2; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       usage(std::cout);
@@ -301,14 +312,7 @@ int cmd_hash(int argc, char** argv) {
   }
   try {
     for (const std::string& path : inputs) {
-      scenario::ScenarioSpec spec = scenario::parse_spec_file(path);
-      // Hash what a run would execute: same seed/precision resolution
-      // as ScenarioRunner::run (the seed is excluded from the hash but
-      // the precision overrides are part of the experiment).
-      spec.seed = scenario::resolve_seed(spec.seed);
-      spec.validate();
-      scenario::apply_precision_overrides(spec);
-      std::cout << scenario::spec_hash(spec) << "  " << path << "\n";
+      std::cout << scenario::spec_hash(load_spec(path, *overrides)) << "  " << path << "\n";
     }
     return 0;
   } catch (const std::exception& e) {
@@ -376,13 +380,11 @@ int main(int argc, char** argv) {
     usage(std::cout);
     return 0;
   }
-  if (first == "run") {
-    // Shift the subcommand out so cmd_run's flag loop (and the
-    // consume_* helpers, which scan from argv[1]) see only its args.
-    return cmd_run(argc - 1, argv + 1);
-  }
+  // Shift the subcommand out so the flag loops (and read_overrides,
+  // which scans from argv[1]) see only its args.
+  if (first == "run") return cmd_run(argc - 1, argv + 1);
   if (first == "merge") return cmd_merge(argc, argv);
-  if (first == "hash") return cmd_hash(argc, argv);
+  if (first == "hash") return cmd_hash(argc - 1, argv + 1);
   if (first == "cache-gc") return cmd_cache_gc(argc, argv);
   std::cerr << "run_scenario: unknown subcommand '" << first << "'\n";
   usage(std::cerr);
